@@ -116,6 +116,10 @@ type bank struct {
 	// only observes this bank's operations, so injected faults fire
 	// deterministically even under concurrent cross-bank traffic.
 	faults faultScope
+	// faultsLive mirrors "this bank's scope or the shared scope is live" —
+	// the only scopes this bank's operations consult — so the bank's fault
+	// dispatch never depends on faults armed on other banks.
+	faultsLive atomic.Bool
 }
 
 // Device is a simulated NOR flash chip: the memory array, wear counters,
@@ -159,9 +163,10 @@ type Device struct {
 
 	// Fault injection (faults.go): ftMu guards the shared scope and the
 	// per-bank scopes against concurrent arming and firing. faultsLive
-	// mirrors "any scope armed" so fault-free operations skip ftMu
-	// entirely — taking a device-wide mutex per byte was the scaling
-	// bottleneck of the per-byte event path.
+	// mirrors "any scope armed" for callers batching work across banks;
+	// operations check their bank's own flag (bank.faultsLive) so
+	// fault-free banks skip ftMu entirely — taking a device-wide mutex per
+	// byte was the scaling bottleneck of the per-byte event path.
 	ftMu       sync.Mutex
 	faults     faultScope
 	faultsLive atomic.Bool
@@ -632,10 +637,15 @@ func (d *Device) programPageLocked(b, p int, buf []byte) error {
 				ErrNeedsErase, p, i, d.array[base+i], v, d.spec.Cell)
 		}
 	}
-	if d.programAll || d.perByteEvents || d.faultsLive.Load() {
+	if d.programAll || d.perByteEvents || d.banks[b].faultsLive.Load() {
 		// Per-byte path: armed fault countdowns observe individual
 		// program pulses, and the ablation/compat modes want per-byte
-		// granularity. Costs and counters match the bulk path exactly.
+		// granularity. Counters and busy time match the bulk path
+		// exactly; energy is the same sum but accumulated one pulse at a
+		// time, so it can differ from the bulk N×E in the last ULPs. The
+		// dispatch therefore reads only this bank's liveness flag: a
+		// fault armed on another bank must not change how this bank's
+		// energy is summed.
 		for i, v := range buf {
 			if err := d.programByteLocked(b, base+i, v); err != nil {
 				return err
@@ -649,8 +659,9 @@ func (d *Device) programPageLocked(b, p int, buf []byte) error {
 // programPageBulkLocked commits a whole reachable page in one pass and
 // emits at most two batched events (one OpProgram for the changed bytes,
 // one OpProgramSkip for the unchanged ones) instead of one event per byte.
-// Energy, busy time and the byte counters are identical to the per-byte
-// path; only event granularity differs. Called with bank b's lock held,
+// Busy time and the byte counters are identical to the per-byte path and
+// energy is the same sum (rounded once rather than per byte); only event
+// granularity differs. Called with bank b's lock held,
 // after the reachability pre-pass, with no faults armed.
 func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 	base := d.PageBase(p)

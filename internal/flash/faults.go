@@ -347,7 +347,7 @@ func (d *Device) ArmFault(f Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.faults.arm(f)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.refreshFaultsLiveLocked()
 }
 
 // ArmBankFault arms a one-shot fault scoped to bank b: only bank b's
@@ -357,7 +357,7 @@ func (d *Device) ArmBankFault(b int, f Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.banks[b].faults.arm(f)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.refreshFaultsLiveLocked()
 }
 
 // SetFaultSchedule installs a device-wide fault schedule, arming its first
@@ -367,7 +367,7 @@ func (d *Device) SetFaultSchedule(s FaultSchedule) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.faults.setSchedule(s)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.refreshFaultsLiveLocked()
 }
 
 // SetBankFaultSchedule installs a schedule scoped to bank b.
@@ -375,7 +375,7 @@ func (d *Device) SetBankFaultSchedule(b int, s FaultSchedule) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.banks[b].faults.setSchedule(s)
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.refreshFaultsLiveLocked()
 }
 
 // ClearFaults disarms every pending fault and removes every schedule, shared
@@ -388,28 +388,35 @@ func (d *Device) ClearFaults() {
 	for b := range d.banks {
 		d.banks[b].faults.setSchedule(nil)
 	}
-	d.faultsLive.Store(false)
+	d.refreshFaultsLiveLocked()
 }
 
 // FaultsLive reports whether any fault is currently armed in any scope.
-// Callers batching work (the async commit pipeline, the bulk page-program
-// path) use it to fall back to per-operation granularity while faults are
-// in flight, so armed countdowns observe exactly the operations a serial
-// run would show them.
+// Callers batching work across banks (the async commit pipeline) use it to
+// fall back to per-operation granularity while faults are in flight, so
+// armed countdowns observe exactly the operations a serial run would show
+// them. The device's own page-program dispatch checks only the programmed
+// bank's scopes.
 func (d *Device) FaultsLive() bool { return d.faultsLive.Load() }
 
-// anyArmedLocked reports whether any scope holds an armed fault. Called
-// with ftMu held.
-func (d *Device) anyArmedLocked() bool {
-	if d.faults.armed || d.faults.residLeft > 0 {
-		return true
-	}
+// live reports whether the scope can still fire: a fault is armed or a
+// transient incident's residue is draining.
+func (fs *faultScope) live() bool { return fs.armed || fs.residLeft > 0 }
+
+// refreshFaultsLiveLocked recomputes the liveness flags after any change to
+// a scope: each bank's flag is "this bank's scope or the shared scope is
+// live" — exactly the scopes faultFor consults for that bank — and the
+// device-wide flag is "any scope is live". Called with ftMu held.
+func (d *Device) refreshFaultsLiveLocked() {
+	shared := d.faults.live()
+	anyLive := shared
 	for b := range d.banks {
-		if d.banks[b].faults.armed || d.banks[b].faults.residLeft > 0 {
-			return true
-		}
+		bk := &d.banks[b]
+		live := bk.faults.live()
+		anyLive = anyLive || live
+		bk.faultsLive.Store(shared || live)
 	}
-	return false
+	d.faultsLive.Store(anyLive)
 }
 
 // FaultsFired returns how many faults have fired across all scopes.
@@ -424,11 +431,13 @@ func (d *Device) FaultsFired() uint64 {
 }
 
 // faultHit is the operation-path entry point for fault matching: a lock-free
-// liveness check first, the full scope walk only while something is armed.
-// Fault-free traffic — the overwhelmingly common case — never touches the
-// device-wide fault mutex, which would otherwise serialize every bank.
+// check of bank b's liveness flag first, the scope walk only while bank b's
+// scope or the shared scope is live. Fault-free traffic — the overwhelmingly
+// common case — never touches the device-wide fault mutex, which would
+// otherwise serialize every bank, and a fault armed on one bank does not
+// send the others through it.
 func (d *Device) faultHit(b int, op OpKind) (Fault, bool) {
-	if !d.faultsLive.Load() {
+	if !d.banks[b].faultsLive.Load() {
 		return Fault{}, false
 	}
 	return d.faultFor(b, op)
@@ -444,7 +453,7 @@ func (d *Device) faultFor(b int, op OpKind) (Fault, bool) {
 	if !ok {
 		f, ok = d.faults.match(op)
 	}
-	d.faultsLive.Store(d.anyArmedLocked())
+	d.refreshFaultsLiveLocked()
 	return f, ok
 }
 

@@ -180,6 +180,31 @@ func (d *Device) WearSnapshot() []uint32 {
 	return out
 }
 
+// WearHealthInto fills caller-owned buffers (one entry per page) with every
+// page's erase count and whether the page is unusable for relocation: worn
+// out, retired, or at its endurance rating — Degraded(p) || AtRating(p).
+// Like WearSnapshot, each bank is copied under one acquisition of its lock,
+// so a management layer gets the whole device's health for one lock
+// round-trip per bank instead of two per page, and allocates nothing.
+func (d *Device) WearHealthInto(wear []uint32, unusable []bool) error {
+	if len(wear) != len(d.wear) || len(unusable) != len(d.wear) {
+		return fmt.Errorf("%w: wear health buffers %d and %d entries, device has %d pages",
+			ErrBounds, len(wear), len(unusable), len(d.wear))
+	}
+	nb := len(d.banks)
+	for b := 0; b < nb; b++ {
+		bk := &d.banks[b]
+		bk.mu.Lock()
+		for p := b; p < len(d.wear); p += nb {
+			w := d.wear[p]
+			wear[p] = w
+			unusable[p] = d.dead[p] || d.retired[p] || w >= d.spec.EnduranceCycles
+		}
+		bk.mu.Unlock()
+	}
+	return nil
+}
+
 // HealthHistogramBuckets is the number of wear buckets in a BankHealth
 // histogram: bucket i counts pages whose wear lies in
 // [i, i+1) / HealthHistogramBuckets of the endurance rating, with the last

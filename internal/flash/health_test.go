@@ -3,6 +3,8 @@ package flash
 import (
 	"errors"
 	"testing"
+
+	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
 func healthSpec() Spec {
@@ -228,5 +230,66 @@ func TestHealthReport(t *testing.T) {
 	}
 	if pages != d.Spec().NumPages {
 		t.Errorf("banks cover %d pages", pages)
+	}
+}
+
+// TestWearHealthInto: the one-pass health snapshot must equal WearSnapshot
+// plus per-page Degraded || AtRating on a multi-bank device holding every
+// page state: fresh, worn, at rating, past rating (dead) and retired.
+func TestWearHealthInto(t *testing.T) {
+	s := healthSpec()
+	s.NumPages = 24
+	s.Banks = 4
+	s.EnduranceCycles = 6
+	d := MustNewDevice(s)
+	rng := xrand.New(7)
+	for p := 0; p < s.NumPages; p++ {
+		for i := rng.Intn(int(s.EnduranceCycles) + 3); i > 0; i-- {
+			_ = d.ErasePage(p) // past the rating the erase reports ErrWornOut
+		}
+	}
+	for _, p := range []int{1, 6, 19} {
+		if err := d.Retire(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	wear := make([]uint32, s.NumPages)
+	unusable := make([]bool, s.NumPages)
+	if err := d.WearHealthInto(wear, unusable); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.WearSnapshot()
+	var dead, atRating, retired, usable int
+	for p := range wear {
+		want := d.Degraded(p) || d.AtRating(p)
+		if wear[p] != snap[p] || unusable[p] != want {
+			t.Errorf("page %d: wear %d unusable %v, want wear %d unusable %v",
+				p, wear[p], unusable[p], snap[p], want)
+		}
+		switch {
+		case d.Retired(p):
+			retired++
+		case d.WornOut(p):
+			dead++
+		case d.AtRating(p):
+			atRating++
+		default:
+			usable++
+		}
+	}
+	if dead == 0 || atRating == 0 || retired == 0 || usable == 0 {
+		t.Fatalf("fixture lacks a page state: dead %d at-rating %d retired %d usable %d",
+			dead, atRating, retired, usable)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.WearHealthInto(wear, unusable) }); allocs != 0 {
+		t.Errorf("WearHealthInto allocates %.1f times per call, want 0", allocs)
+	}
+	if err := d.WearHealthInto(wear[:1], unusable); !errors.Is(err, ErrBounds) {
+		t.Errorf("short wear buffer: err = %v, want ErrBounds", err)
+	}
+	if err := d.WearHealthInto(wear, unusable[:1]); !errors.Is(err, ErrBounds) {
+		t.Errorf("short unusable buffer: err = %v, want ErrBounds", err)
 	}
 }

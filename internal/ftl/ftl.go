@@ -76,6 +76,15 @@ type FTL struct {
 	intentOff      int    // append offset within the intent-log page
 	checkpointSlot int    // slot holding the newest durable map
 
+	// Write-path buffers, reused so a steady-state write allocates
+	// nothing: the physical pages a write touched, the health snapshot
+	// wear leveling scans (one entry per physical page), and the page
+	// images a swap copies through.
+	touched    []int
+	wear       []uint32
+	unusable   []bool
+	bufA, bufB []byte
+
 	stats Stats
 }
 
@@ -119,12 +128,8 @@ func New(dev *core.Device, opts ...Option) *FTL {
 		ns = np - 1
 	}
 	nl := np - ns
-	f.l2p = make([]int, nl)
-	f.p2l = make([]int, np)
+	f.initMaps(nl)
 	f.poolBase, f.poolSize = nl, ns
-	for pp := range f.p2l {
-		f.p2l[pp] = -1
-	}
 	for lp := range f.l2p {
 		f.l2p[lp] = lp
 		f.p2l[lp] = lp
@@ -150,15 +155,26 @@ func Open(dev *core.Device, opts ...Option) (*FTL, error) {
 	}
 	f.lay = lay
 	f.poolBase, f.poolSize = lay.poolBase, lay.spares
-	f.l2p = make([]int, lay.nl)
-	f.p2l = make([]int, spec.NumPages)
-	for pp := range f.p2l {
-		f.p2l[pp] = -1
-	}
+	f.initMaps(lay.nl)
 	if err := f.recover(); err != nil {
 		return nil, err
 	}
 	return f, nil
+}
+
+// initMaps allocates an all-unmapped translation map for nl logical pages
+// together with the write path's reusable buffers.
+func (f *FTL) initMaps(nl int) {
+	spec := f.dev.Flash().Spec()
+	f.l2p = make([]int, nl)
+	f.p2l = make([]int, spec.NumPages)
+	for pp := range f.p2l {
+		f.p2l[pp] = -1
+	}
+	f.wear = make([]uint32, spec.NumPages)
+	f.unusable = make([]bool, spec.NumPages)
+	f.bufA = make([]byte, spec.PageSize)
+	f.bufB = make([]byte, spec.PageSize)
 }
 
 // Stats returns the FTL's activity counters.
@@ -234,8 +250,18 @@ func (f *FTL) SensePage(lp int, dst []byte) error {
 // retired — its repaired contents move to a spare — and the write retries
 // once on the healthy page.
 func (f *FTL) Write(laddr int, data []byte) error {
+	if err := f.writePages(laddr, data); err != nil {
+		return err
+	}
+	return f.levelWear(f.touched)
+}
+
+// writePages is Write without the wear-leveling check: it stores data page
+// by page, retiring pages the write cannot land on, and leaves the physical
+// pages it wrote, in order, in f.touched.
+func (f *FTL) writePages(laddr int, data []byte) error {
 	ps := f.dev.Flash().Spec().PageSize
-	var touched []int
+	f.touched = f.touched[:0]
 	off := 0
 	n := len(data)
 	for n > 0 {
@@ -259,15 +285,10 @@ func (f *FTL) Write(laddr int, data []byte) error {
 		if werr != nil {
 			return werr
 		}
-		touched = append(touched, paddr/ps)
+		f.touched = append(f.touched, paddr/ps)
 		laddr += run
 		off += run
 		n -= run
-	}
-	for _, p := range touched {
-		if err := f.levelWear(p); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -306,45 +327,75 @@ func (f *FTL) forEachPage(laddr, n int, fn func(paddr, off, n int) error) error 
 	return nil
 }
 
-// levelWear swaps the just-written physical page with the coldest mapped
-// page when their wear gap exceeds the threshold. Only mapped pages are
-// candidates: journal metadata is not remappable, free spares must stay
-// blank for retirement, and retired pages are out of service. The wear
-// figures come from one consistent WearSnapshot rather than per-page lock
-// round-trips.
-func (f *FTL) levelWear(hot int) error {
-	fl := f.dev.Flash()
-	snap := fl.WearSnapshot()
+// levelWear runs the wear-leveling check on each page a write touched, in
+// order: a touched ("hot") page swaps with the coldest mapped page when
+// their wear gap reaches the threshold. Only mapped pages are candidates:
+// journal metadata is not remappable, free spares must stay blank for
+// retirement, and retired pages are out of service. The first minimum in
+// l2p order wins ties.
+//
+// The wear and health figures come from one WearHealthInto snapshot into
+// FTL-owned buffers — one lock round-trip per bank, not two per mapped
+// page — and the coldest candidate found from it serves every touched page
+// until a swap changes wear or the map; only then is the device
+// snapshotted and scanned again. Nothing else changes state between two
+// checks, so each decision is the one a fresh scan would make.
+func (f *FTL) levelWear(touched []int) error {
+	fresh := false
+	cold := -1
+	var coldW uint32
+	for _, hot := range touched {
+		if !fresh {
+			if err := f.dev.Flash().WearHealthInto(f.wear, f.unusable); err != nil {
+				return err
+			}
+			cold, coldW = f.coldest()
+			fresh = true
+		}
+		// A swap rewrites both pages, so a degraded endpoint could tear
+		// the exchange mid-way (the health gate refuses the second write
+		// after the first landed). An at-rating endpoint is as bad: the
+		// erase the swap needs is the one that corrupts it — that page's
+		// future is retirement, not relocation. Leveling is an
+		// optimisation; skip rather than risk it.
+		if cold < 0 || hot == cold || f.unusable[hot] || f.wear[hot]-coldW < f.swapDelta {
+			continue
+		}
+		var err error
+		if f.journaled {
+			err = f.journalSwap(hot, cold)
+		} else {
+			err = f.swap(hot, cold)
+		}
+		if err != nil {
+			return err
+		}
+		fresh = false
+	}
+	return nil
+}
+
+// coldest returns the first usable mapped page of minimum wear in l2p
+// order, and its wear, from the current health snapshot; -1 when every
+// mapped page is unusable.
+func (f *FTL) coldest() (int, uint32) {
 	cold := -1
 	var coldW uint32
 	for _, pp := range f.l2p {
-		if fl.Degraded(pp) || fl.AtRating(pp) {
+		if f.unusable[pp] {
 			continue
 		}
-		if cold < 0 || snap[pp] < coldW {
-			cold, coldW = pp, snap[pp]
+		if w := f.wear[pp]; cold < 0 || w < coldW {
+			cold, coldW = pp, w
 		}
 	}
-	// A swap rewrites both pages, so a degraded endpoint could tear the
-	// exchange mid-way (the health gate refuses the second write after the
-	// first landed). An at-rating endpoint is as bad: the erase the swap
-	// needs is the one that corrupts it — that page's future is retirement,
-	// not relocation. Leveling is an optimisation; skip rather than risk it.
-	if cold < 0 || hot == cold || fl.Degraded(hot) || fl.AtRating(hot) || snap[hot]-coldW < f.swapDelta {
-		return nil
-	}
-	if f.journaled {
-		return f.journalSwap(hot, cold)
-	}
-	return f.swap(hot, cold)
+	return cold, coldW
 }
 
 // swap exchanges the contents and logical mappings of two physical pages.
 func (f *FTL) swap(a, b int) error {
 	fl := f.dev.Flash()
-	ps := fl.Spec().PageSize
-	bufA := make([]byte, ps)
-	bufB := make([]byte, ps)
+	bufA, bufB := f.bufA, f.bufB
 	if err := f.dev.Read(fl.PageBase(a), bufA); err != nil {
 		return err
 	}

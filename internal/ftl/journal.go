@@ -252,9 +252,7 @@ func (f *FTL) applySwap(a, b int) {
 // journalSwap is the crash-consistent swap of data pages a and b.
 func (f *FTL) journalSwap(a, b int) error {
 	fl := f.dev.Flash()
-	ps := f.lay.ps
-	bufA := make([]byte, ps)
-	bufB := make([]byte, ps)
+	bufA, bufB := f.bufA, f.bufB
 	if err := fl.ReadPage(a, bufA); err != nil {
 		return err
 	}
@@ -275,12 +273,12 @@ func (f *FTL) journalSwap(a, b int) error {
 		return err
 	}
 	// Read the spare back rather than trusting bufA: the copy chain pays
-	// for its own reads, and a torn spare would be caught here.
-	bufS := make([]byte, ps)
-	if err := fl.ReadPage(f.lay.spare, bufS); err != nil {
+	// for its own reads, and a torn spare would be caught here. bufA's
+	// image is on the spare now, so the buffer is free to take it back.
+	if err := fl.ReadPage(f.lay.spare, bufA); err != nil {
 		return err
 	}
-	if err := f.writeExactPage(b, bufS); err != nil {
+	if err := f.writeExactPage(b, bufA); err != nil {
 		return err
 	}
 	f.applySwap(a, b)
