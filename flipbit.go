@@ -304,30 +304,13 @@ func WithScrubber(cfg ScrubConfig) Option { return core.WithScrubber(cfg) }
 // NewScrubber builds a stopped scrubber over an existing device.
 func NewScrubber(d *Device, cfg ScrubConfig) *Scrubber { return core.NewScrubber(d, cfg) }
 
-// --- Async commit pipeline and sharded instrumentation ---
-
-// Commit is the completion future returned by Device.WriteAsync: Wait
-// blocks until every chunk of the write committed and returns the first
-// hard error (or a best-effort ErrWornOut). Wait at most once per Commit.
-type Commit = core.Commit
+// --- Sharded instrumentation ---
 
 // ShardObserver is an Observer that can split itself into per-bank shards:
 // when attached to a device, each flash bank delivers its events to its own
 // shard under the bank's lock, so the observer needs no cross-bank
 // synchronization of its own. Trace implements it.
 type ShardObserver = flash.ShardObserver
-
-// ErrAsyncClosed is returned by commits enqueued after Device.Close.
-var ErrAsyncClosed = core.ErrAsyncClosed
-
-// WithAsyncCommit enables the asynchronous write pipeline: Device.WriteAsync
-// enqueues page commits onto per-bank queues of the given depth, where
-// per-bank workers coalesce same-bank neighbours into group commits (one
-// load→apply→encode→gate→program pass with a single batch-kernel call).
-// Write/Read stay synchronous and may be mixed freely; Flush drains, Close
-// shuts the pipeline down. Per-bank order is enqueue order, so results —
-// stats included, bit for bit — match the serial path.
-func WithAsyncCommit(depth int) Option { return core.WithAsyncCommit(depth) }
 
 // --- Wear-leveling FTL with a spare pool ---
 

@@ -56,14 +56,14 @@ func TestValidateArtifactRejects(t *testing.T) {
 		{"writepath missing host_scaling", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}]}`},
-		{"writepath async below 4x at 8 banks", "writepath",
+		{"writepath concurrent below 4x at 8 banks", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
 			  "host_scaling":[
 			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
 			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
 			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"async","banks":8,"workers":8,"depth":8,"ops":10,"ns_per_op":1,"ops_per_sec":3,"allocs_per_op":0,"host_speedup":3}]}`},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":3,"allocs_per_op":0,"host_speedup":3}]}`},
 		{"writepath host_scaling allocs regression", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
@@ -71,7 +71,7 @@ func TestValidateArtifactRejects(t *testing.T) {
 			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
 			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
 			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"async","banks":8,"workers":8,"depth":8,"ops":10,"ns_per_op":1,"ops_per_sec":5,"allocs_per_op":3,"host_speedup":5}]}`},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":5,"allocs_per_op":3,"host_speedup":5}]}`},
 		{"encode below 3x on nbit", "encode",
 			`{"seed":1,"span_bytes":4096,"e2e_ops":100,"e2e_scalar_ns_per_op":200,"e2e_kernel_ns_per_op":100,
 			  "e2e_speedup":2,"stats_match":true,
@@ -115,6 +115,10 @@ func TestValidateArtifactRejects(t *testing.T) {
 		{"campaign compact+ckpt never compacted", "crashcampaign",
 			`{"seed":1,"rows":[{"scenario":"kvs/compact+ckpt","cycles":10,"crashes":3,"faults_fired":2,"violation_count":0,"fingerprint":7,
 			                    "compactions":0,"checkpoints":4,"checkpoint_mounts":2}]}`},
+		{"campaign missing mixed+banks4 scenario", "crashcampaign",
+			`{"seed":1,"rows":[{"scenario":"kvs/mixed","cycles":10,"crashes":3,"faults_fired":2,"violation_count":0,"fingerprint":7},
+			                   {"scenario":"kvs/compact+ckpt","cycles":10,"crashes":3,"faults_fired":2,"violation_count":0,"fingerprint":7,
+			                    "compactions":2,"checkpoints":4,"checkpoint_mounts":2}]}`},
 		{"kvscale speedup below 10x at max keys", "kvscale",
 			`{"seed":1,"page_size":4096,"value_size":64,"hot_key_frac":0.1,"hot_op_frac":0.9,
 			  "rows":[{"keys":1000,"data_pages":30,"slot_pages":3,"ops":1600,"ops_per_sec":1,

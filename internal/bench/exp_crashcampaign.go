@@ -32,10 +32,12 @@ const crashCampaignSeed = 0xF1A57
 
 // crashCampaignScenarios are the published configurations: a pure
 // brown-out storm against the raw store, a mixed fault diet (power loss +
-// stuck bits + read disturb), the same mixed diet through the journaled FTL
-// with commit read-back verification on, and a production-shaped store with
-// proactive compaction and index checkpointing armed — so power loss lands
-// mid-GC and mid-checkpoint, and reboots exercise the O(tail) mount path.
+// stuck bits + read disturb), the same mixed diet on a 4-bank device (so the
+// per-bank fault scopes and commit locks are armed across banks), the same
+// mixed diet through the journaled FTL with commit read-back verification
+// on, and a production-shaped store with proactive compaction and index
+// checkpointing armed — so power loss lands mid-GC and mid-checkpoint, and
+// reboots exercise the O(tail) mount path.
 func crashCampaignScenarios(seed uint64, cycles int) []struct {
 	name string
 	cfg  faultcampaign.Config
@@ -48,13 +50,17 @@ func crashCampaignScenarios(seed uint64, cycles int) []struct {
 	ckptSpec.PageSize = 128
 	ckptSpec.NumPages = 32
 	ckptSpec.Banks = 1
+	banks4Spec := flash.DefaultSpec()
+	banks4Spec.PageSize = 128
+	banks4Spec.NumPages = 24
+	banks4Spec.Banks = 4
 	return []struct {
 		name string
 		cfg  faultcampaign.Config
 	}{
 		{"kvs/power-loss", faultcampaign.Config{Seed: seed, Cycles: cycles, Mix: brownout}},
 		{"kvs/mixed", faultcampaign.Config{Seed: seed, Cycles: cycles}},
-		{"kvs/mixed+async", faultcampaign.Config{Seed: seed, Cycles: cycles, AsyncCommit: 8}},
+		{"kvs/mixed+banks4", faultcampaign.Config{Seed: seed, Cycles: cycles, Spec: banks4Spec}},
 		{"kvs-on-ftl/mixed", faultcampaign.Config{Seed: seed, Cycles: cycles, UseFTL: true, Verify: true}},
 		{"kvs/compact+ckpt", faultcampaign.Config{
 			Seed: seed, Cycles: cycles, Spec: ckptSpec,

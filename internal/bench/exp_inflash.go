@@ -134,7 +134,6 @@ func runInflashScan(keys int) ([]InflashScanRow, int, error) {
 	spec.NumPages = 1024
 	spec.Banks = inflashBanks
 	dev := core.MustNewDevice(spec)
-	defer dev.Close()
 
 	s, err := kvs.Open(dev, kvs.WithScanIndex(inflashIndexSpec(keys)))
 	if err != nil {

@@ -37,14 +37,12 @@ type WritePathRow struct {
 // pre-sharding write path with per-byte op events, which is what this
 // codebase shipped before the event bus was sharded. On a single-CPU host
 // the speedup therefore measures the pipeline restructuring itself (event
-// batching, group commit, batch-kernel amortization), not parallel
-// hardware; with more CPUs the concurrent and async modes additionally
-// scale across banks.
+// batching, batch-kernel encoding), not parallel hardware; with more CPUs
+// the concurrent mode additionally scales across banks.
 type HostScalingRow struct {
-	Mode            string  `json:"mode"` // serial-legacy | serial | concurrent | async
+	Mode            string  `json:"mode"` // serial-legacy | serial | concurrent
 	Banks           int     `json:"banks"`
 	Workers         int     `json:"workers"`
-	Depth           int     `json:"depth,omitempty"` // async queue depth
 	Ops             int     `json:"ops"`
 	NsPerOp         float64 `json:"ns_per_op"`
 	OpsPerSec       float64 `json:"ops_per_sec"`
@@ -131,14 +129,6 @@ func newWritePathPlan(spec flash.Spec, banks, totalOps int) writePathPlan {
 // banks it is the busiest bank. Per-bank busy time is read from the stats
 // shards, so the figure is deterministic and independent of host CPU count.
 func (pl writePathPlan) run(d *core.Device, workers int) (elapsed time.Duration, allocs uint64, device time.Duration) {
-	return pl.runMode(d, workers, 0)
-}
-
-// runMode is run with an optional async pipeline: depth > 0 makes each
-// worker feed WriteAsync with a window of `depth` outstanding commits
-// (waiting the oldest when the window fills), then Flush inside the timed
-// region so every enqueued commit is accounted for.
-func (pl writePathPlan) runMode(d *core.Device, workers, depth int) (elapsed time.Duration, allocs uint64, device time.Duration) {
 	banks := len(pl.perBank)
 	type chunk struct {
 		bank  int
@@ -178,26 +168,7 @@ func (pl writePathPlan) runMode(d *core.Device, workers, depth int) (elapsed tim
 		wg.Add(1)
 		go func(chunks []chunk) {
 			defer wg.Done()
-			var window []*core.Commit
-			if depth > 0 {
-				window = make([]*core.Commit, 0, depth)
-			}
 			<-ready
-			if depth > 0 {
-				for _, c := range chunks {
-					for _, p := range c.pages {
-						if len(window) == depth {
-							_ = window[0].Wait()
-							window = window[:copy(window, window[1:])]
-						}
-						window = append(window, d.WriteAsync(d.Flash().PageBase(p), pl.payload))
-					}
-				}
-				for _, cm := range window {
-					_ = cm.Wait()
-				}
-				return
-			}
 			for _, c := range chunks {
 				for _, p := range c.pages {
 					_ = d.Write(d.Flash().PageBase(p), pl.payload)
@@ -212,9 +183,6 @@ func (pl writePathPlan) runMode(d *core.Device, workers, depth int) (elapsed tim
 	start := time.Now()
 	close(ready)
 	wg.Wait()
-	if depth > 0 {
-		d.Flush()
-	}
 	elapsed = time.Since(start)
 	runtime.ReadMemStats(&after)
 
@@ -298,14 +266,9 @@ func RunWritePath(cfg Config) (*WritePathReport, error) {
 	return rep, nil
 }
 
-// writePathAsyncDepth is the async-commit queue depth of the host-scaling
-// rows: deep enough that group commit forms full batches, shallow enough
-// that a Flush drains in microseconds.
-const writePathAsyncDepth = 8
-
-// runHostScaling measures the host-throughput section: the three pipeline
-// generations (per-byte events → sharded events → async group commit) at
-// bank counts 4, 8 and 16, each at GOMAXPROCS = NumCPU. The serial-legacy
+// runHostScaling measures the host-throughput section: the per-byte event
+// path, the sharded serial path and concurrent Write (one worker per bank)
+// at bank counts 4, 8 and 16, each at GOMAXPROCS = NumCPU. The serial-legacy
 // row of each bank count is the baseline its host_speedup column divides
 // by.
 func runHostScaling(cfg Config, rep *WritePathReport) error {
@@ -316,13 +279,11 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 	modes := []struct {
 		mode    string
 		fanout  bool // workers = banks (otherwise 1)
-		depth   int
 		perByte bool
 	}{
-		{"serial-legacy", false, 0, true},
-		{"serial", false, 0, false},
-		{"concurrent", true, 0, false},
-		{"async", true, writePathAsyncDepth, false},
+		{"serial-legacy", false, true},
+		{"serial", false, false},
+		{"concurrent", true, false},
 	}
 	for _, banks := range []int{4, 8, 16} {
 		spec := cfg.applyCell(writePathSpec())
@@ -331,11 +292,7 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 		warm := newWritePathPlan(spec, banks, 256*banks)
 		var base float64
 		for _, m := range modes {
-			opts := []core.Option{}
-			if m.depth > 0 {
-				opts = append(opts, core.WithAsyncCommit(m.depth))
-			}
-			dev, err := core.NewDevice(spec, opts...)
+			dev, err := core.NewDevice(spec)
 			if err != nil {
 				return err
 			}
@@ -348,19 +305,13 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 			if m.fanout {
 				workers = banks
 			}
-			warm.runMode(dev, workers, m.depth)
-			elapsed, allocs, device := plan.runMode(dev, workers, m.depth)
-			if m.depth > 0 {
-				if err := dev.Close(); err != nil {
-					return err
-				}
-			}
+			warm.run(dev, workers)
+			elapsed, allocs, device := plan.run(dev, workers)
 			ops := (totalOps / banks) * banks
 			row := HostScalingRow{
 				Mode:            m.mode,
 				Banks:           banks,
 				Workers:         workers,
-				Depth:           m.depth,
 				Ops:             ops,
 				NsPerOp:         float64(elapsed.Nanoseconds()) / float64(ops),
 				OpsPerSec:       float64(ops) / elapsed.Seconds(),

@@ -134,47 +134,6 @@ func BenchmarkWritePathConcurrent(b *testing.B) {
 	})
 }
 
-// BenchmarkWritePathAsync measures the async pipeline: one producer keeps a
-// window of writePathAsyncDepth commits in flight so per-bank group commit
-// can form batches.
-func BenchmarkWritePathAsync(b *testing.B) {
-	const depth = 8
-	spec := flash.DefaultSpec()
-	spec.NumPages = 16
-	d := MustNewDevice(spec, WithAsyncCommit(depth))
-	defer d.Close()
-	if err := d.SetApproxRegion(0, spec.Size()); err != nil {
-		b.Fatal(err)
-	}
-	d.SetThreshold(255)
-	rng := xrand.New(9)
-	a := make([]byte, spec.PageSize)
-	for i := range a {
-		a[i] = rng.Byte()
-	}
-	if err := d.WriteAsync(0, a).Wait(); err != nil {
-		b.Fatal(err)
-	}
-	window := make([]*Commit, 0, depth)
-	b.SetBytes(int64(spec.PageSize))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(window) == depth {
-			if err := window[0].Wait(); err != nil {
-				b.Fatal(err)
-			}
-			window = window[:copy(window, window[1:])]
-		}
-		p := i % spec.NumPages
-		window = append(window, d.WriteAsync(d.Flash().PageBase(p), a))
-	}
-	for _, c := range window {
-		if err := c.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExactCommit measures a page session that erases every time.
 func BenchmarkExactCommit(b *testing.B) {
 	d, a, c := benchDevice(b, 0)

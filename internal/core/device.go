@@ -151,13 +151,8 @@ type Device struct {
 	// nil unless configured. It is constructed stopped — call Start.
 	scrubber *Scrubber
 
-	// async is the opt-in per-bank commit pipeline built by
-	// WithAsyncCommit (async.go); nil for the default serial path.
-	async *asyncEngine
-
 	// Construction-time option state.
 	banksOverride int
-	asyncDepth    int
 	observers     []flash.Observer
 	faultSched    flash.FaultSchedule
 	scrubCfg      *ScrubConfig
@@ -285,9 +280,6 @@ func NewDevice(spec flash.Spec, opts ...Option) (*Device, error) {
 	}
 	if d.scrubCfg != nil {
 		d.scrubber = NewScrubber(d, *d.scrubCfg)
-	}
-	if d.asyncDepth > 0 {
-		d.async = newAsyncEngine(d, d.asyncDepth)
 	}
 	return d, nil
 }
@@ -553,16 +545,13 @@ func (d *Device) commitPage(page, off int, data []byte) error {
 	// Stage 2: apply the CPU's stores.
 	s.apply()
 
-	return d.finishLocked(bank, s, encodeResult{}, false)
+	return d.finishLocked(bank, s)
 }
 
 // finishLocked runs the back half of the pipeline — health gate, encode,
 // error gate, program/erase, stats fold — for one loaded-and-applied
-// session. The group-commit path (async.go) precomputes the encode stage
-// for a whole bank batch in one kernel call and passes encoded == true; the
-// serial path lets the session encode itself. Called with the page's bank
-// commit lock held.
-func (d *Device) finishLocked(bank int, s *session, enc encodeResult, encoded bool) error {
+// session. Called with the page's bank commit lock held.
+func (d *Device) finishLocked(bank int, s *session) error {
 	page := s.page
 
 	// Health gate (§II-B graceful degradation): a degraded page — worn
@@ -587,11 +576,8 @@ func (d *Device) finishLocked(bank int, s *session, enc encodeResult, encoded bo
 		return d.retryOp(bank, page, s.programExact)
 	}
 
-	// Stage 3: encode the approximation candidate (unless group commit
-	// already ran the batch kernel over this session's span).
-	if !encoded {
-		enc = s.encode()
-	}
+	// Stage 3: encode the approximation candidate.
+	enc := s.encode()
 
 	// Stage 4: gate on the error threshold (Fig. 9 hardware).
 	if s.gate(enc) {
@@ -749,8 +735,7 @@ func kernelEngages(enc approx.Encoder, cell flash.CellMode) bool {
 // kernelSpan returns the value-aligned dirty span the encode stage covers
 // and whether the compiled batch kernel applies to it (a batch encoder
 // sound for the cell mode, no scalar override, and a whole number of
-// values). Sync, concurrent, and async group commits all route through
-// this decision.
+// values). Serial and concurrent commits both route through this decision.
 func (s *session) kernelSpan(w bits.Width) (lo, hi int, batch bool) {
 	d := s.d
 	vb := w.Bytes()
@@ -765,20 +750,16 @@ func (s *session) kernelSpan(w bits.Width) (lo, hi int, batch bool) {
 }
 
 // encodeBatch runs the compiled kernel over the aligned dirty span and
-// converts its in-kernel statistics to an encodeResult.
+// converts its in-kernel statistics to an encodeResult. BatchStats carries
+// exactly the aggregates the scalar loop accumulates: the error sums feed
+// the tracker, MaxAbs reproduces the per-value threshold test (some value
+// exceeds the threshold iff the largest one does), and Unreachable mirrors
+// the per-value reachability check (approx kernel outputs are reachable by
+// construction under the cell mode they engage on, so it only fires for
+// Exact on an unreachable span).
 func (s *session) encodeBatch(be approx.BatchEncoder, lo, hi int, w bits.Width) encodeResult {
+	d := s.d
 	st := be.EncodeSlice(s.bufs.previous[lo:hi], s.bufs.exact[lo:hi], s.bufs.approx[lo:hi], w)
-	return s.d.batchResult(st)
-}
-
-// batchResult converts in-kernel batch statistics to an encodeResult.
-// BatchStats carries exactly the aggregates the scalar loop accumulates:
-// the error sums feed the tracker, MaxAbs reproduces the per-value
-// threshold test (some value exceeds the threshold iff the largest one
-// does), and Unreachable mirrors the per-value reachability check (approx
-// kernel outputs are reachable by construction under the cell mode they
-// engage on, so it only fires for Exact on an unreachable span).
-func (d *Device) batchResult(st approx.BatchStats) encodeResult {
 	var res encodeResult
 	res.tracker.AddBatch(st.Count, st.SumAbs, st.SumSq)
 	res.approximated = st.Approximated

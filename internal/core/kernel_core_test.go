@@ -263,22 +263,17 @@ func TestDenseCellKernelMatchesScalarDevice(t *testing.T) {
 }
 
 // TestMLCKernelCommitModeEquivalence drives identical per-bank write
-// sequences through an MLC scalar-path oracle and three kernel-path drive
-// modes — serial Write, one goroutine per bank, and the async group-commit
-// pipeline — and requires byte-identical flash stats (global and per
-// bank), controller stats, and array contents from all of them. This is
-// the device-level proof that the NCell kernel wiring covers the sync,
-// concurrent, and async commit paths alike.
+// sequences through an MLC scalar-path oracle and two kernel-path drive
+// modes — serial Write and one goroutine per bank — and requires
+// byte-identical flash stats (global and per bank), controller stats, and
+// array contents from both. This is the device-level proof that the NCell
+// kernel wiring covers the serial and concurrent commit paths alike.
 func TestMLCKernelCommitModeEquivalence(t *testing.T) {
 	spec := concSpec()
 	spec.Cell = flash.MLC
 	enc := approx.MustNCell(2)
 	const rounds = 80
 	for _, threshold := range []float64{4, 255} {
-		plans := make([][]pageWrite, spec.Banks)
-		for b := range plans {
-			plans[b] = bankPlan(spec, spec.Banks, b, rounds, 0x31C+uint64(b))
-		}
 		mk := func(opts ...Option) *Device {
 			d := MustNewDevice(spec, append([]Option{WithEncoder(enc)}, opts...)...)
 			if err := d.SetApproxRegion(0, spec.Size()); err != nil {
@@ -288,49 +283,27 @@ func TestMLCKernelCommitModeEquivalence(t *testing.T) {
 			return d
 		}
 
-		oracle := mk(WithScalarEncode())
-		for _, plan := range plans {
-			for _, pw := range plan {
-				_ = oracle.Write(oracle.Flash().PageBase(pw.page), pw.data)
-			}
-		}
-
-		serial := mk()
-		for _, plan := range plans {
-			for _, pw := range plan {
-				_ = serial.Write(serial.Flash().PageBase(pw.page), pw.data)
-			}
+		oracle, serial := mk(WithScalarEncode()), mk()
+		for b := 0; b < spec.Banks; b++ {
+			bankWorkload(oracle, b, rounds, 0x31C+uint64(b))
+			bankWorkload(serial, b, rounds, 0x31C+uint64(b))
 		}
 
 		conc := mk()
 		var wg sync.WaitGroup
-		for b := range plans {
+		for b := 0; b < spec.Banks; b++ {
 			wg.Add(1)
 			go func(b int) {
 				defer wg.Done()
-				for _, pw := range plans[b] {
-					_ = conc.Write(conc.Flash().PageBase(pw.page), pw.data)
-				}
+				bankWorkload(conc, b, rounds, 0x31C+uint64(b))
 			}(b)
 		}
 		wg.Wait()
 
-		async := mk(WithAsyncCommit(8))
-		for r := 0; r < rounds; r++ {
-			for b := range plans {
-				pw := plans[b][r]
-				async.WriteAsync(async.Flash().PageBase(pw.page), pw.data)
-			}
-		}
-		async.Flush()
-		if err := async.Close(); err != nil {
-			t.Fatal(err)
-		}
-
 		for _, m := range []struct {
 			name string
 			d    *Device
-		}{{"serial-kernel", serial}, {"concurrent-kernel", conc}, {"async-kernel", async}} {
+		}{{"serial-kernel", serial}, {"concurrent-kernel", conc}} {
 			if s, c := oracle.Flash().Stats(), m.d.Flash().Stats(); s != c {
 				t.Errorf("threshold %v %s: flash stats differ\nscalar %+v\nkernel %+v", threshold, m.name, s, c)
 			}

@@ -140,33 +140,27 @@ func assertClean(t *testing.T, res *Result) {
 		res.WastedPages, res.CorrectedBits, res.TornSkipped, res.MeanRecoveryBusy, res.Fingerprint)
 }
 
-// TestCampaignAsyncCommitReplayByteIdentical: routing the store's writes
-// through the async commit pipeline must not perturb the campaign at all —
-// per-op waits keep each bank's operation sequence serial-identical, so the
-// full Result (fingerprint included) matches the synchronous run bit for
-// bit, and a second async run replays itself.
-func TestCampaignAsyncCommitReplayByteIdentical(t *testing.T) {
-	sync, err := Run(Config{Seed: 7, Cycles: 400})
+// TestCampaignMultiBankDeterministic: the default mixed diet on a 4-bank
+// device, where faults arm per bank and commits take per-bank locks. No
+// acknowledged data may be lost, and a second run must replay the first
+// exactly.
+func TestCampaignMultiBankDeterministic(t *testing.T) {
+	spec := flash.DefaultSpec()
+	spec.PageSize = 128
+	spec.NumPages = 24
+	spec.Banks = 4
+	cfg := Config{Seed: 7, Cycles: 400, Spec: spec}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Run(Config{Seed: 7, Cycles: 400, AsyncCommit: 8})
+	assertClean(t, a)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sync, async) {
-		t.Fatalf("async campaign diverged from synchronous run:\nsync  %+v\nasync %+v", sync, async)
-	}
-	again, err := Run(Config{Seed: 7, Cycles: 400, AsyncCommit: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(async, again) {
-		t.Fatalf("async campaign diverged across identical runs:\n%+v\nvs\n%+v", async, again)
-	}
-	assertClean(t, async)
-	if async.Crashes == 0 {
-		t.Error("async campaign never crashed; pipeline is not exercising faults")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("4-bank campaign diverged across identical runs:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -287,31 +281,6 @@ func TestCampaignTransientRetention(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, again) {
 		t.Fatalf("transient campaign diverged across identical runs:\n%+v\nvs\n%+v", res, again)
-	}
-}
-
-// TestCampaignTransientAsyncByteIdentical: retry backoffs, retention aging
-// and re-senses are all charged per bank in issue order, so the async
-// commit pipeline must replay the transient campaign bit for bit.
-func TestCampaignTransientAsyncByteIdentical(t *testing.T) {
-	cfg := transientTestConfig(21, 400)
-	sync, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertClean(t, sync)
-	acfg := cfg
-	acfg.AsyncCommit = 8
-	async, err := Run(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync.Cycles, async.Cycles = 0, 0 // compare everything else field-for-field
-	if sync.Fingerprint != async.Fingerprint {
-		t.Fatalf("async fingerprint %x != sync %x", async.Fingerprint, sync.Fingerprint)
-	}
-	if !reflect.DeepEqual(sync, async) {
-		t.Fatalf("async transient campaign diverged from sync:\n%+v\nvs\n%+v", sync, async)
 	}
 }
 

@@ -162,14 +162,12 @@ type Device struct {
 	tracer *Trace
 
 	// Fault injection (faults.go): ftMu guards the shared scope and the
-	// per-bank scopes against concurrent arming and firing. faultsLive
-	// mirrors "any scope armed" for callers batching work across banks;
-	// operations check their bank's own flag (bank.faultsLive) so
-	// fault-free banks skip ftMu entirely — taking a device-wide mutex per
-	// byte was the scaling bottleneck of the per-byte event path.
-	ftMu       sync.Mutex
-	faults     faultScope
-	faultsLive atomic.Bool
+	// per-bank scopes against concurrent arming and firing. Operations
+	// check their bank's liveness flag (bank.faultsLive) so fault-free
+	// banks skip ftMu entirely — taking a device-wide mutex per byte was
+	// the scaling bottleneck of the per-byte event path.
+	ftMu   sync.Mutex
+	faults faultScope
 }
 
 // SetProgramAll toggles charging program pulses for unchanged bytes.

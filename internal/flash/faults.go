@@ -347,7 +347,7 @@ func (d *Device) ArmFault(f Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.faults.arm(f)
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 }
 
 // ArmBankFault arms a one-shot fault scoped to bank b: only bank b's
@@ -357,7 +357,7 @@ func (d *Device) ArmBankFault(b int, f Fault) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.banks[b].faults.arm(f)
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 }
 
 // SetFaultSchedule installs a device-wide fault schedule, arming its first
@@ -367,7 +367,7 @@ func (d *Device) SetFaultSchedule(s FaultSchedule) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.faults.setSchedule(s)
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 }
 
 // SetBankFaultSchedule installs a schedule scoped to bank b.
@@ -375,7 +375,7 @@ func (d *Device) SetBankFaultSchedule(b int, s FaultSchedule) {
 	d.ftMu.Lock()
 	defer d.ftMu.Unlock()
 	d.banks[b].faults.setSchedule(s)
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 }
 
 // ClearFaults disarms every pending fault and removes every schedule, shared
@@ -388,35 +388,23 @@ func (d *Device) ClearFaults() {
 	for b := range d.banks {
 		d.banks[b].faults.setSchedule(nil)
 	}
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 }
-
-// FaultsLive reports whether any fault is currently armed in any scope.
-// Callers batching work across banks (the async commit pipeline) use it to
-// fall back to per-operation granularity while faults are in flight, so
-// armed countdowns observe exactly the operations a serial run would show
-// them. The device's own page-program dispatch checks only the programmed
-// bank's scopes.
-func (d *Device) FaultsLive() bool { return d.faultsLive.Load() }
 
 // live reports whether the scope can still fire: a fault is armed or a
 // transient incident's residue is draining.
 func (fs *faultScope) live() bool { return fs.armed || fs.residLeft > 0 }
 
-// refreshFaultsLiveLocked recomputes the liveness flags after any change to
-// a scope: each bank's flag is "this bank's scope or the shared scope is
-// live" — exactly the scopes faultFor consults for that bank — and the
-// device-wide flag is "any scope is live". Called with ftMu held.
-func (d *Device) refreshFaultsLiveLocked() {
+// refreshBankLiveLocked recomputes the per-bank liveness flags after any
+// change to a scope: each bank's flag is "this bank's scope or the shared
+// scope is live" — exactly the scopes faultFor consults for that bank.
+// Called with ftMu held.
+func (d *Device) refreshBankLiveLocked() {
 	shared := d.faults.live()
-	anyLive := shared
 	for b := range d.banks {
 		bk := &d.banks[b]
-		live := bk.faults.live()
-		anyLive = anyLive || live
-		bk.faultsLive.Store(shared || live)
+		bk.faultsLive.Store(shared || bk.faults.live())
 	}
-	d.faultsLive.Store(anyLive)
 }
 
 // FaultsFired returns how many faults have fired across all scopes.
@@ -453,7 +441,7 @@ func (d *Device) faultFor(b int, op OpKind) (Fault, bool) {
 	if !ok {
 		f, ok = d.faults.match(op)
 	}
-	d.refreshFaultsLiveLocked()
+	d.refreshBankLiveLocked()
 	return f, ok
 }
 

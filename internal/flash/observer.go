@@ -190,12 +190,11 @@ func sameObserver(a, b Observer) bool {
 }
 
 // statsShard is one bank's slice of the operation ledger. Counters live in
-// the embedded Stats; energy is accumulated per operation kind instead of
-// into one running float, because float addition is order-sensitive: the
-// async pipeline may interleave a bank's loads and programs differently
-// than a serial run, but each (bank, kind) sub-stream still sees its events
-// in request order, so summing the kinds in a fixed order at snapshot time
-// reproduces byte-identical totals for any interleaving.
+// the embedded Stats; energy is accumulated per operation kind and the
+// kinds are summed in a fixed order at snapshot time. Float addition is
+// order-sensitive, so fixed-order buckets keep totals byte-identical to a
+// serial run and leave room for finer buckets (per issuing layer) that
+// must sum to exactly the same totals.
 type statsShard struct {
 	Stats
 	energyKind [opKindCount]energy.Energy
