@@ -1,12 +1,15 @@
 package flash
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	mathbits "math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/flipbit-sim/flipbit/internal/bits"
 	"github.com/flipbit-sim/flipbit/internal/energy"
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
@@ -629,10 +632,15 @@ func (d *Device) programPageLocked(b, p int, buf []byte) error {
 		return fmt.Errorf("page %d: %w", p, ErrPageRetired)
 	}
 	base := d.PageBase(p)
-	for i, v := range buf {
-		if !d.spec.Cell.Reachable(d.array[base+i], v) {
-			return fmt.Errorf("%w: page %d byte %d stored %08b want %08b (%v)",
-				ErrNeedsErase, p, i, d.array[base+i], v, d.spec.Cell)
+	// SLC reachability is a bitwise subset test, run eight bytes per step;
+	// the per-byte loop runs for MLC/TLC fields and, under SLC, only to
+	// name the first unreachable byte in the error.
+	if d.spec.Cell != SLC || !bits.SubsetBytes(buf, d.array[base:base+d.spec.PageSize]) {
+		for i, v := range buf {
+			if !d.spec.Cell.Reachable(d.array[base+i], v) {
+				return fmt.Errorf("%w: page %d byte %d stored %08b want %08b (%v)",
+					ErrNeedsErase, p, i, d.array[base+i], v, d.spec.Cell)
+			}
 		}
 	}
 	if d.programAll || d.perByteEvents || d.banks[b].faultsLive.Load() {
@@ -659,8 +667,10 @@ func (d *Device) programPageLocked(b, p int, buf []byte) error {
 // one OpProgramSkip for the unchanged ones) instead of one event per byte.
 // Busy time and the byte counters are identical to the per-byte path and
 // energy is the same sum (rounded once rather than per byte); only event
-// granularity differs. Called with bank b's lock held,
-// after the reachability pre-pass, with no faults armed.
+// granularity differs. The page is compared, written and its drift and
+// rise masks updated eight bytes per step, with a byte loop for the tail of
+// page sizes that are not a multiple of eight. Called with bank b's lock
+// held, after the reachability pre-pass, with no faults armed.
 func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 	base := d.PageBase(p)
 	bk := &d.banks[b]
@@ -676,12 +686,30 @@ func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 	programmed := 0
 	m := d.drift[p]
 	rm := d.rise[p]
-	for i, v := range buf {
+	le := binary.LittleEndian
+	i := 0
+	for ; i+8 <= len(buf); i += 8 {
+		v := le.Uint64(buf[i:])
+		if x := le.Uint64(page[i:]) ^ v; x != 0 {
+			le.PutUint64(page[i:], v)
+			changed := nonzeroBytes(x)
+			programmed += mathbits.OnesCount64(changed)
+			if rm != nil {
+				// A real pulse recharges the changed bytes' marginal cells.
+				le.PutUint64(rm[i:], le.Uint64(rm[i:])&^(changed*0xFF))
+			}
+		}
+		if m != nil {
+			le.PutUint64(m[i:], le.Uint64(m[i:])&v)
+		}
+	}
+	for ; i < len(buf); i++ {
+		v := buf[i]
 		if page[i] != v {
 			page[i] = v
 			programmed++
 			if rm != nil {
-				rm[i] = 0 // a real pulse recharges the byte's marginal cells
+				rm[i] = 0
 			}
 		}
 		if m != nil {
@@ -700,6 +728,17 @@ func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: base, Bytes: skipped})
 	}
 	return nil
+}
+
+// nonzeroBytes maps each nonzero byte of x to 0x01 and each zero byte to
+// 0x00: bit 0 of every byte becomes the OR of that byte's eight bits.
+// OnesCount64 of the result counts the nonzero bytes, and the result times
+// 0xFF is a mask of them.
+func nonzeroBytes(x uint64) uint64 {
+	x |= x >> 4
+	x |= x >> 2
+	x |= x >> 1
+	return x & 0x0101010101010101
 }
 
 // EraseProgramPage erases page p and programs it from buf — the

@@ -64,7 +64,9 @@ func (m CellMode) Levels() int { return 1 << uint(m.Bits()) }
 // with the top field truncated at the byte boundary (TLC splits a byte
 // 3-3-2); cells never span bytes, which is what keeps the byte-granular
 // program operation well defined per cell mode. For SLC the per-field
-// test degenerates to the bitwise subset test, taken word-wise here.
+// test degenerates to the bitwise subset test. Reachable tests one byte;
+// the word-wise form of the SLC test over a whole buffer is
+// bits.SubsetBytes.
 func (m CellMode) Reachable(from, to byte) bool {
 	if m == SLC {
 		return to&^from == 0

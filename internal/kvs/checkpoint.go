@@ -431,6 +431,12 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	copy(s.pageBad, img.pageBad)
 	s.index = img.entries
 	s.nextSeq = img.nextSeq
+	for p := range s.pageKeys {
+		s.pageKeys[p] = s.pageKeys[p][:0]
+	}
+	for k, loc := range s.index {
+		s.pageKeys[loc.page] = append(s.pageKeys[loc.page], k)
+	}
 
 	var partial, tail []pageInfo
 	var hdr [pageHeaderSize]byte
@@ -554,11 +560,10 @@ func (s *Store) markMountBad(p int) {
 // live on it either lives on in GC copies past the checkpoint's nextSeq
 // (restored by tail replay) or is gone with the quarantine, matching scan.
 func (s *Store) dropPageEntries(p int) {
-	for k, loc := range s.index {
-		if loc.page == p {
-			delete(s.index, k)
-		}
+	for _, k := range s.keysOnPage(p) {
+		delete(s.index, k)
 	}
+	s.pageKeys[p] = s.pageKeys[p][:0]
 	s.pageLive[p] = 0
 }
 

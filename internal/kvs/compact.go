@@ -98,24 +98,21 @@ func (s *Store) maybeCompact() error {
 // compactionNeeded reports whether the free pool is short or the garbage
 // ratio has drifted past the configured ceiling.
 func (s *Store) compactionNeeded() bool {
-	free := 0
-	for p := 0; p < s.np; p++ {
-		if s.pageSeq[p] == freeSeq && !s.pageBad[p] {
-			free++
-		}
-	}
-	if free < s.comp.TriggerFreePages {
-		return true
-	}
-	var used, live int
+	var free, used, live int
 	for p := 0; p < s.np; p++ {
 		if s.pageSeq[p] == freeSeq {
+			if !s.pageBad[p] {
+				free++
+			}
 			continue
 		}
 		if u := s.pageUsed[p] - pageHeaderSize; u > 0 {
 			used += u
 		}
 		live += s.pageLive[p]
+	}
+	if free < s.comp.TriggerFreePages {
+		return true
 	}
 	return used > 0 && float64(used-live)/float64(used) > s.comp.MaxGarbageRatio
 }
@@ -124,13 +121,19 @@ func (s *Store) compactionNeeded() bool {
 // proactive victim, or -1 when none qualifies. The score is the fraction
 // of the page an erase would reclaim net of the live bytes that must be
 // copied out, plus a bias toward pages the device has erased least — so
-// sustained collection spreads erases instead of hammering one page.
+// sustained collection spreads erases instead of hammering one page. Each
+// page's wear is read from the backend once per scan, into s.wear.
 func (s *Store) pickVictim() int {
 	var maxWear uint32 = 1
-	if s.wb != nil && s.comp.WearWeight > 0 {
-		for p := 0; p < s.np; p++ {
-			if w := s.wb.PageWear(p); w > maxWear {
-				maxWear = w
+	useWear := s.wb != nil && s.comp.WearWeight > 0
+	if useWear {
+		if s.wear == nil {
+			s.wear = make([]uint32, s.np)
+		}
+		for p := range s.wear {
+			s.wear[p] = s.wb.PageWear(p)
+			if s.wear[p] > maxWear {
+				maxWear = s.wear[p]
 			}
 		}
 	}
@@ -148,8 +151,8 @@ func (s *Store) pickVictim() int {
 			continue
 		}
 		score := float64(s.ps-s.pageLive[p]) / float64(s.ps)
-		if s.wb != nil && s.comp.WearWeight > 0 {
-			score += s.comp.WearWeight * (1 - float64(s.wb.PageWear(p))/float64(maxWear))
+		if useWear {
+			score += s.comp.WearWeight * (1 - float64(s.wear[p])/float64(maxWear))
 		}
 		if score > best {
 			victim, best = p, score

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -164,12 +165,19 @@ type Store struct {
 	pageUsed []int    // bytes consumed per page (including header)
 	pageLive []int    // live record bytes per page
 	pageBad  []bool   // quarantined: header unrepairable, erase before reuse
-	head     int      // page currently being appended to (-1 = none)
+	// pageKeys lists, per page, every key whose index entry was set to a
+	// record on that page since the page was last erased or quarantined.
+	// It is a superset of the keys the index places there — superseded
+	// keys stay listed — so GC filters it against the index instead of
+	// walking every key to find one page's records.
+	pageKeys [][]string
+	head     int // page currently being appended to (-1 = none)
 	nextSeq  uint32
 	inGC     bool
 	verify   bool // read back every committed record
 
 	wb      WearBackend // b, when it exposes per-page wear (else nil)
+	wear    []uint32    // per-page wear read by pickVictim's latest scan
 	comp    *CompactionConfig
 	ckpt    *checkpointState
 	scanIdx *scanIndexState
@@ -228,6 +236,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 	s.pageUsed = make([]int, s.np)
 	s.pageLive = make([]int, s.np)
 	s.pageBad = make([]bool, s.np)
+	s.pageKeys = make([][]string, s.np)
 	s.wb, _ = b.(WearBackend)
 	s.compactDue = true
 
@@ -357,6 +366,7 @@ func (s *Store) resetMountState() {
 		s.pageUsed[p] = 0
 		s.pageLive[p] = 0
 		s.pageBad[p] = false
+		s.pageKeys[p] = s.pageKeys[p][:0]
 	}
 	s.head = -1
 	s.nextSeq = 0
@@ -432,6 +442,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		// the key survived elsewhere would resurrect the old value
 		// at the next mount.
 		s.index[key] = loc
+		s.pageKeys[page] = append(s.pageKeys[page], key)
 		s.pageLive[page] += size
 		off += size
 	}
@@ -750,7 +761,7 @@ func (s *Store) fullErr() error {
 			bad++
 		}
 	}
-	if bad > 0 && len(s.freePages()) == 0 {
+	if _, free := s.freePages(1); bad > 0 && free == 0 {
 		return fmt.Errorf("%w: %d of %d pages out of service", ErrDeviceReadOnly, bad, s.np)
 	}
 	return ErrFull
@@ -772,29 +783,37 @@ func (s *Store) reserve(size int) (page, off int, err error) {
 	if s.inGC {
 		minFree = 1
 	}
-	free := s.freePages()
-	if len(free) < minFree {
+	first, free := s.freePages(minFree)
+	if free < minFree {
 		s.reclaimQuarantined()
-		free = s.freePages()
+		first, free = s.freePages(minFree)
 	}
-	if len(free) < minFree {
+	if free < minFree {
 		return 0, 0, ErrFull
 	}
-	if err := s.openPage(free[0]); err != nil {
+	if err := s.openPage(first); err != nil {
 		return 0, 0, err
 	}
 	return s.head, s.pageUsed[s.head], nil
 }
 
-// freePages lists usable free pages.
-func (s *Store) freePages() []int {
-	var free []int
-	for p := range s.pageSeq {
-		if s.pageSeq[p] == freeSeq && !s.pageBad[p] {
-			free = append(free, p)
+// usableFree reports whether page p is free and not quarantined.
+func (s *Store) usableFree(p int) bool { return s.pageSeq[p] == freeSeq && !s.pageBad[p] }
+
+// freePages scans the pages in ascending order, without allocating, until
+// it has counted limit usable free pages, and returns how many it counted
+// and the lowest of them (-1 when there is none).
+func (s *Store) freePages(limit int) (first, n int) {
+	first = -1
+	for p := 0; p < s.np && n < limit; p++ {
+		if s.usableFree(p) {
+			if n == 0 {
+				first = p
+			}
+			n++
 		}
 	}
-	return free
+	return first, n
 }
 
 // reclaimQuarantined erases quarantined pages back into the free pool. A
@@ -829,13 +848,13 @@ func (s *Store) reclaimQuarantined() {
 	}
 }
 
-// openPage stamps a free page with the next sequence number. Under
-// WithVerify a header that does not read back intact quarantines the page
-// and tries the next free one.
+// openPage stamps the first usable free page at or above p with the next
+// sequence number. A page that is not cleanly writable (or, under
+// WithVerify, whose header does not read back intact) is quarantined and
+// the next free page in ascending order tried.
 func (s *Store) openPage(p int) error {
-	free := s.freePages()
-	for _, cand := range free {
-		if cand < p {
+	for cand := p; cand < s.np; cand++ {
+		if !s.usableFree(cand) {
 			continue
 		}
 		var hdr [pageHeaderSize]byte
@@ -933,6 +952,7 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
 		dead: flags&flagTombstone != 0,
 	}
+	s.pageKeys[page] = append(s.pageKeys[page], key)
 	s.pageLive[page] += len(rec)
 	return nil
 }
@@ -996,14 +1016,7 @@ func (s *Store) compactPage(victim int) error {
 	// Copy the victim's must-preserve records (live values AND
 	// tombstones) to the log head; copies carry later sequence numbers,
 	// so a crash between copy and erase resolves in their favour.
-	keys := make([]string, 0)
-	for k, loc := range s.index {
-		if loc.page == victim {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range s.keysOnPage(victim) {
 		loc := s.index[key]
 		if loc.dead {
 			if err := s.append(key, nil, flagTombstone); err != nil {
@@ -1030,6 +1043,7 @@ func (s *Store) compactPage(victim int) error {
 		s.pageSeq[victim] = freeSeq
 		s.pageUsed[victim] = s.ps
 		s.pageLive[victim] = 0
+		s.pageKeys[victim] = s.pageKeys[victim][:0]
 		s.stats.QuarantinedPages++
 		if s.head == victim {
 			s.head = -1
@@ -1040,11 +1054,29 @@ func (s *Store) compactPage(victim int) error {
 	s.pageSeq[victim] = freeSeq
 	s.pageUsed[victim] = 0
 	s.pageLive[victim] = 0
+	// Only now, with every record copied forward and the page erased, is
+	// its key list empty: a copy that fails mid-compaction (ErrFull)
+	// leaves the rest of the victim's keys indexed there, and the next
+	// compaction of the page must still find them.
+	s.pageKeys[victim] = s.pageKeys[victim][:0]
 	if s.head == victim {
 		s.head = -1
 	}
 	s.stats.Compactions++
 	return nil
+}
+
+// keysOnPage returns the keys whose index entries point at page p, sorted
+// and without duplicates: the victim's records in the order GC copies them.
+func (s *Store) keysOnPage(p int) []string {
+	keys := make([]string, 0, len(s.pageKeys[p]))
+	for _, k := range s.pageKeys[p] {
+		if loc, ok := s.index[k]; ok && loc.page == p {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // correctSingleBit brute-forces a single-bit repair of a CRC-protected
