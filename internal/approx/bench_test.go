@@ -60,11 +60,45 @@ func benchSpans(n int) (prev, exact, approx []byte) {
 	return prev, exact, approx
 }
 
+// frameSpans builds the (prev, exact) pairs a frame capture encodes: prev
+// is a stored 64×64 W8 frame and exact the next one — the same textured
+// background with fresh ±2 sensor noise and a bright 16×16 object moved to
+// a new spot, the way the FTL's frame rig builds its frames.
+func frameSpans() (prev, exact, approx []byte) {
+	const side, frameBytes = 64, 64 * 64
+	rng := xrand.New(42)
+	bg := make([]byte, frameBytes)
+	for i := range bg {
+		bg[i] = byte(40 + i%side + rng.Intn(24))
+	}
+	frame := func() []byte {
+		fr := make([]byte, frameBytes)
+		for i, v := range bg {
+			fr[i] = v + byte(rng.Intn(5)) - 2
+		}
+		x, y := rng.Intn(side-16), rng.Intn(side-16)
+		for dy := 0; dy < 16; dy++ {
+			for dx := 0; dx < 16; dx++ {
+				fr[(y+dy)*side+x+dx] = 230
+			}
+		}
+		return fr
+	}
+	prev = frame()
+	exact = frame()
+	return prev, exact, make([]byte, frameBytes)
+}
+
 func benchEncodeSlice(b *testing.B, enc BatchEncoder, w bits.Width) {
 	b.Helper()
 	prev, exact, approx := benchSpans(4096)
+	benchEncodeSpans(b, enc, w, prev, exact, approx)
+}
+
+func benchEncodeSpans(b *testing.B, enc BatchEncoder, w bits.Width, prev, exact, approx []byte) {
+	b.Helper()
 	enc.EncodeSlice(prev, exact, approx, w) // derive lazy LUTs up front
-	b.SetBytes(4096)
+	b.SetBytes(int64(len(exact)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc.EncodeSlice(prev, exact, approx, w)
@@ -104,3 +138,15 @@ func BenchmarkEncodeSliceNCell4W32(b *testing.B) { benchEncodeSlice(b, MustNCell
 func BenchmarkEncodeScalarNCell2W8(b *testing.B)  { benchEncodeScalarSpan(b, MustNCell(2), bits.W8) }
 func BenchmarkEncodeScalarNCell2W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(2), bits.W32) }
 func BenchmarkEncodeScalarNCell4W32(b *testing.B) { benchEncodeScalarSpan(b, MustNCell(4), bits.W32) }
+
+// The frame-shaped variants encode what frame-capture encodes: dense
+// near-diagonal (prev, exact) pairs instead of independent random bytes.
+func BenchmarkEncodeSliceNBit2W8Frame(b *testing.B) {
+	prev, exact, approx := frameSpans()
+	benchEncodeSpans(b, MustNBit(2), bits.W8, prev, exact, approx)
+}
+
+func BenchmarkEncodeSliceNCell2W8Frame(b *testing.B) {
+	prev, exact, approx := frameSpans()
+	benchEncodeSpans(b, MustNCell(2), bits.W8, prev, exact, approx)
+}

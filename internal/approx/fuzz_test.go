@@ -113,37 +113,53 @@ func FuzzNBitInvariants(f *testing.F) {
 	})
 }
 
+// fuzzKernelWidth derives a fuzzed kernel width: W8, W16 or W32.
+func fuzzKernelWidth(sel byte) bits.Width {
+	switch sel % 3 {
+	case 0:
+		return bits.W8
+	case 1:
+		return bits.W16
+	default:
+		return bits.W32
+	}
+}
+
+// fuzzSpans lays two fuzzed 32-bit value pairs out as little-endian prev
+// and exact spans and cuts both to a fuzzed length of 1–8 bytes. Bytes
+// past the last whole value of a wide width are left unencoded by both
+// the kernel and the scalar walk.
+func fuzzSpans(p0, e0, p1, e1 uint32, span byte) (prev, exact []byte) {
+	var p, e [8]byte
+	bits.StoreLE(p[0:], p0, bits.W32)
+	bits.StoreLE(p[4:], p1, bits.W32)
+	bits.StoreLE(e[0:], e0, bits.W32)
+	bits.StoreLE(e[4:], e1, bits.W32)
+	n := int(span)%8 + 1
+	return p[:n], e[:n]
+}
+
 // FuzzBatchKernelMatchesScalar differentially fuzzes the batch kernels
 // (kernel.go) against the scalar encoders they compile: a multi-value span
 // is encoded once through EncodeSlice and once value-by-value through
 // Approximate, and both the output bytes and the in-kernel statistics must
 // match exactly. Values are fuzzed in adjacent pairs so the W16/W32 cases
 // exercise minimax windows and carries that straddle byte boundaries —
-// exactly what a naive per-byte LUT would get wrong.
+// exactly what a naive per-byte LUT would get wrong. The fuzzed span
+// length (1–8 bytes) sends short W8 spans through the walker's byte tail.
 func FuzzBatchKernelMatchesScalar(f *testing.F) {
-	f.Add(uint32(0x0000FF00), uint32(0x000100FF), uint32(0xFF00FF00), uint32(0x00FF00FF), byte(2), byte(2))
-	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(0xAAAAAAAA), uint32(0x55555555), byte(8), byte(2))
-	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(4), byte(1))
-	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(3), byte(0))
-	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
-		var w bits.Width
-		switch sel % 3 {
-		case 0:
-			w = bits.W8
-		case 1:
-			w = bits.W16
-		default:
-			w = bits.W32
-		}
+	f.Add(uint32(0x0000FF00), uint32(0x000100FF), uint32(0xFF00FF00), uint32(0x00FF00FF), byte(2), byte(2), byte(7))
+	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(0xAAAAAAAA), uint32(0x55555555), byte(8), byte(2), byte(7))
+	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(4), byte(1), byte(7))
+	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(3), byte(0), byte(4))
+	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel, span byte) {
+		w := fuzzKernelWidth(sel)
 		encoders := []BatchEncoder{OneBit{}, Exact{}, MustNBit(int(n)%MaxN + 1)}
-		var prev, exact, kernelOut, scalarOut [8]byte
-		bits.StoreLE(prev[0:], p0, bits.W32)
-		bits.StoreLE(prev[4:], p1, bits.W32)
-		bits.StoreLE(exact[0:], e0, bits.W32)
-		bits.StoreLE(exact[4:], e1, bits.W32)
+		prev, exact := fuzzSpans(p0, e0, p1, e1, span)
+		var kernelOut, scalarOut [8]byte
 		vb := w.Bytes()
 		for _, enc := range encoders {
-			kst := enc.EncodeSlice(prev[:], exact[:], kernelOut[:], w)
+			kst := enc.EncodeSlice(prev, exact, kernelOut[:len(exact)], w)
 			var sst BatchStats
 			for i := 0; i+vb <= len(exact); i += vb {
 				pv := bits.LoadLE(prev[i:], w)
@@ -172,30 +188,20 @@ func FuzzBatchKernelMatchesScalar(f *testing.F) {
 // FuzzBatchKernelMatchesScalar: the span is encoded once through
 // EncodeSlice and once value-by-value through Approximate, and output
 // bytes and statistics must match exactly. Adjacent value pairs make the
-// W16/W32 cases exercise cell windows that straddle byte boundaries.
+// W16/W32 cases exercise cell windows that straddle byte boundaries, and
+// the fuzzed span length (1–8 bytes) reaches the W8 byte tail.
 func FuzzNCellKernelMatchesScalar(f *testing.F) {
-	f.Add(uint32(0x0000AA00), uint32(0x00005500), uint32(0xAAAAAAAA), uint32(0x55555555), byte(2), byte(2))
-	f.Add(uint32(0x3FFFFFFF), uint32(0xC0000000), uint32(0x55555555), uint32(0xAAAAAAAA), byte(4), byte(2))
-	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(3), byte(1))
-	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(1), byte(0))
-	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel byte) {
-		var w bits.Width
-		switch sel % 3 {
-		case 0:
-			w = bits.W8
-		case 1:
-			w = bits.W16
-		default:
-			w = bits.W32
-		}
+	f.Add(uint32(0x0000AA00), uint32(0x00005500), uint32(0xAAAAAAAA), uint32(0x55555555), byte(2), byte(2), byte(7))
+	f.Add(uint32(0x3FFFFFFF), uint32(0xC0000000), uint32(0x55555555), uint32(0xAAAAAAAA), byte(4), byte(2), byte(7))
+	f.Add(uint32(0xFFFFFFFF), uint32(0x12345678), uint32(0), uint32(0xFF), byte(3), byte(1), byte(7))
+	f.Add(uint32(0xFFFEFFFE), uint32(0x00010001), uint32(0x01FE01FE), uint32(0x01010101), byte(1), byte(0), byte(4))
+	f.Fuzz(func(t *testing.T, p0, e0, p1, e1 uint32, n, sel, span byte) {
+		w := fuzzKernelWidth(sel)
 		enc := MustNCell(int(n)%(MaxN/CellBits) + 1)
-		var prev, exact, kernelOut, scalarOut [8]byte
-		bits.StoreLE(prev[0:], p0, bits.W32)
-		bits.StoreLE(prev[4:], p1, bits.W32)
-		bits.StoreLE(exact[0:], e0, bits.W32)
-		bits.StoreLE(exact[4:], e1, bits.W32)
+		prev, exact := fuzzSpans(p0, e0, p1, e1, span)
+		var kernelOut, scalarOut [8]byte
 		vb := w.Bytes()
-		kst := enc.EncodeSlice(prev[:], exact[:], kernelOut[:], w)
+		kst := enc.EncodeSlice(prev, exact, kernelOut[:len(exact)], w)
 		var sst BatchStats
 		for i := 0; i+vb <= len(exact); i += vb {
 			pv := bits.LoadLE(prev[i:], w)

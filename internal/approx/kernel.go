@@ -27,14 +27,19 @@
 //     "next exact bit wanted but not available", so both compile to pure
 //     word-parallel mask arithmetic with zero probes.
 //   - For 8-bit values the whole chain folds into one lazily derived
-//     65536-entry LUT indexed by (prevByte, exactByte): one table hit per
-//     value. (Wider values cannot use a per-byte LUT: the minimax lookahead
-//     window crosses byte boundaries.)
+//     65536-entry uint16 LUT indexed by (prevByte, exactByte) that carries
+//     the error with the result: low byte the approximate value, high byte
+//     |exact − approx|. One table hit per value yields both the output and
+//     the page statistics, so the W8 walker accumulates them without a
+//     subtraction or a branch. (Wider values cannot use a per-byte LUT: the
+//     minimax lookahead window crosses byte boundaries.)
 //   - Spans where exact is already reachable from previous are detected
 //     eight bytes at a time (exact &^ previous == 0 over uint64 loads) and
 //     copied through without entering the per-value path — the bulk-bitwise
 //     trick of Flash-Cosmos/MCFlash applied to the common mostly-erased and
-//     rewrite-in-place cases.
+//     rewrite-in-place cases. The W8 walker (encodeSpanW8) is shared with the
+//     MLC cell kernel: it walks whole 8-byte chunks, and one argument picks
+//     the chunk test — this subset test or the cell-wise cellGT64.
 //
 // Every kernel is bit-identical to its scalar encoder; kernel_test.go proves
 // it exhaustively for 8-bit values and by fuzzing for 16/32-bit values
@@ -109,10 +114,12 @@ type kernel struct {
 	lowMask uint32 // m low bits: the lookahead field of a window
 	fire    []bool // the minimax table, indexed eLow<<m | pLow
 
-	// byteOnce/byteLUT is the 8-bit-value fast path: approx byte indexed by
-	// prevByte<<8 | exactByte. Derived on first W8 use (64 KiB per n).
+	// byteOnce/byteLUT is the 8-bit-value fast path, indexed by
+	// prevByte<<8 | exactByte: the approx byte in the low half of each
+	// entry, |exact − approx| in the high half. Derived on first W8 use
+	// (128 KiB per n).
 	byteOnce sync.Once
-	byteLUT  []byte
+	byteLUT  *[1 << 16]uint16
 }
 
 // kernelCache holds the compiled kernels, one per window size, derived
@@ -136,18 +143,24 @@ func cachedKernel(n int) *kernel {
 	return c.k
 }
 
-// byteTable derives (once) and returns the 65536-entry per-byte LUT.
-func (k *kernel) byteTable() []byte {
-	k.byteOnce.Do(func() {
-		lut := make([]byte, 1<<16)
-		for p := uint32(0); p < 256; p++ {
-			for e := uint32(0); e < 256; e++ {
-				lut[p<<8|e] = byte(k.value(p, e))
-			}
-		}
-		k.byteLUT = lut
-	})
+// byteTable derives (once) and returns the per-byte LUT.
+func (k *kernel) byteTable() *[1 << 16]uint16 {
+	k.byteOnce.Do(func() { k.byteLUT = deriveByteTable(k.value) })
 	return k.byteLUT
+}
+
+// deriveByteTable folds an 8-bit encode chain into the stats-carrying LUT
+// encodeSpanW8 walks: entry prevByte<<8 | exactByte holds the approximate
+// byte in its low half and |exact − approx| in its high half.
+func deriveByteTable(value func(p, e uint32) uint32) *[1 << 16]uint16 {
+	lut := new([1 << 16]uint16)
+	for p := uint32(0); p < 256; p++ {
+		for e := uint32(0); e < 256; e++ {
+			a := value(p, e)
+			lut[p<<8|e] = uint16(bits.AbsDiff(e, a))<<8 | uint16(a)
+		}
+	}
+	return lut
 }
 
 // value encodes one value through the compiled break-position chain. Inputs
@@ -248,32 +261,74 @@ func encodeSpan(prev, exact, approx []byte, w bits.Width, fn func(p, e uint32) u
 	return st
 }
 
-// encodeSpanW8 is the 8-bit-value walker: one byteLUT hit per value.
-func encodeSpanW8(prev, exact, approx []byte, lut []byte) BatchStats {
-	var st BatchStats
+// reachable64 is encodeSpanW8's chunk skip test: it reports whether every
+// value in the 8-byte chunk is programmable over previous as is, so each
+// one encodes to itself (the identity invariant). The bit kernels need no
+// 0→1 flip; with cell set, the MLC kernel needs no cell level to rise,
+// which also passes cell decreases that set bits (10 → 01).
+func reachable64(p, e uint64, cell bool) bool {
+	if cell {
+		return cellGT64(e, p) == 0
+	}
+	return e&^p == 0
+}
+
+// encodeSpanW8 is the one 8-bit-value walker, shared by the bit and cell
+// kernels: cell selects the chunk skip test (reachable64), lut the chain.
+// It walks whole 8-byte chunks — one verdict decides between a bulk copy
+// and eight LUT hits — and reads each value's error out of the LUT's high
+// byte into branch-free sums. A byte tail covers spans whose length is not
+// a multiple of 8.
+func encodeSpanW8(prev, exact, approx []byte, lut *[1 << 16]uint16, cell bool) BatchStats {
+	n := len(exact)
+	prev, approx = prev[:n], approx[:n]
+	var acc w8Acc
 	i := 0
-	for i < len(exact) {
-		if i+8 <= len(exact) &&
-			binary.LittleEndian.Uint64(exact[i:])&^binary.LittleEndian.Uint64(prev[i:]) == 0 {
-			copy(approx[i:i+8], exact[i:i+8])
-			st.Count += 8
-			i += 8
+	for ; i+8 <= n; i += 8 {
+		pc, ec, ac := (*[8]byte)(prev[i:]), (*[8]byte)(exact[i:]), (*[8]byte)(approx[i:])
+		if reachable64(binary.LittleEndian.Uint64(pc[:]), binary.LittleEndian.Uint64(ec[:]), cell) {
+			*ac = *ec
 			continue
 		}
-		e := exact[i]
-		a := lut[uint32(prev[i])<<8|uint32(e)]
-		approx[i] = a
-		st.add(uint32(e), uint32(a))
-		i++
+		for k := range ac {
+			v := lut[uint16(pc[k])<<8|uint16(ec[k])]
+			ac[k] = byte(v)
+			acc = acc.add(v)
+		}
 	}
-	return st
+	for ; i < n; i++ {
+		v := lut[uint16(prev[i])<<8|uint16(exact[i])]
+		approx[i] = byte(v)
+		acc = acc.add(v)
+	}
+	return BatchStats{
+		Count:        uint64(n),
+		Approximated: acc.approximated,
+		SumAbs:       acc.sumAbs,
+		SumSq:        acc.sumSq,
+		MaxAbs:       uint32(acc.maxAbs),
+	}
+}
+
+// w8Acc is encodeSpanW8's running statistics. Four words, passed by value,
+// so the compiler keeps them in registers across the walk.
+type w8Acc struct{ sumAbs, sumSq, maxAbs, approximated uint64 }
+
+// add folds one LUT entry's error (its high byte) in without a branch.
+func (s w8Acc) add(v uint16) w8Acc {
+	d := uint64(v >> 8)
+	s.sumAbs += d
+	s.sumSq += d * d
+	s.maxAbs = max(s.maxAbs, d)
+	s.approximated += -d >> 63 // 1 exactly when d != 0
+	return s
 }
 
 // EncodeSlice implements BatchEncoder: the batch form of Algorithm 2.
 func (enc *NBit) EncodeSlice(prev, exact, approx []byte, w bits.Width) BatchStats {
 	k := enc.kern
 	if w == bits.W8 {
-		return encodeSpanW8(prev, exact, approx, k.byteTable())
+		return encodeSpanW8(prev, exact, approx, k.byteTable(), false)
 	}
 	switch enc.n {
 	case 1:
@@ -289,7 +344,7 @@ func (enc *NBit) EncodeSlice(prev, exact, approx []byte, w bits.Width) BatchStat
 func (OneBit) EncodeSlice(prev, exact, approx []byte, w bits.Width) BatchStats {
 	if w == bits.W8 {
 		// Algorithm 1 is the n = 1 chain; share its byte LUT.
-		return encodeSpanW8(prev, exact, approx, cachedKernel(1).byteTable())
+		return encodeSpanW8(prev, exact, approx, cachedKernel(1).byteTable(), false)
 	}
 	return encodeSpan(prev, exact, approx, w, oneBitValue)
 }

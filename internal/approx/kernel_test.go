@@ -241,3 +241,124 @@ func TestEncodeSliceZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// fillChunk writes one chunk (at most 8 bytes) of (prev, exact). A
+// reachable chunk passes the walker's skip test: exact ⊆ prev for the bit
+// kernels, or every cell level at most prev's for the cell kernel —
+// including decreases that set bits (10 → 01). A dense chunk starts with a
+// value the skip test must refuse. For the bit kernels that value is a
+// 10 → 01 cell decrease in an otherwise cell-reachable chunk, so a bit
+// kernel that skipped on the cell test would copy it through unencoded.
+func fillChunk(rng *xrand.RNG, prev, exact []byte, reachable, cell bool) {
+	for i := range prev {
+		prev[i] = rng.Byte()
+		switch {
+		case reachable && !cell:
+			exact[i] = prev[i] &^ rng.Byte()
+		case reachable || !cell:
+			exact[i] = cellsBelow(rng, prev[i])
+		default:
+			exact[i] = rng.Byte()
+		}
+	}
+	switch {
+	case reachable:
+	case cell:
+		prev[0], exact[0] = 0, rng.Byte()|1
+	default:
+		prev[0], exact[0] = 0b10, 0b01
+	}
+}
+
+// cellsBelow returns a random byte whose every cell level is at most p's.
+func cellsBelow(rng *xrand.RNG, p byte) byte {
+	var e byte
+	for c := 0; c < 8; c += CellBits {
+		if lv := p >> c & (cellLevels - 1); lv > 0 {
+			e |= byte(rng.Intn(int(lv)+1)) << c
+		}
+	}
+	return e
+}
+
+// TestW8TailAndMisalignedSpans drives the shared W8 walker with every span
+// length from 1 to 23 bytes at every offset 0–7 into a larger buffer, with
+// full chunks alternating between skipped and dense runs and a byte tail
+// after them. Output bytes and the full BatchStats (SumSq included) must
+// equal the scalar walk, and no byte outside the span may be written.
+func TestW8TailAndMisalignedSpans(t *testing.T) {
+	const maxLen, maxOff, sentinel = 23, 7, 0x5A
+	rng := xrand.New(0x7A11)
+	prev := make([]byte, maxOff+maxLen)
+	exact := make([]byte, maxOff+maxLen)
+	got := make([]byte, maxOff+maxLen+8)
+	want := make([]byte, maxLen)
+	encoders := []BatchEncoder{OneBit{}}
+	for n := 1; n <= MaxN; n++ {
+		encoders = append(encoders, MustNBit(n))
+	}
+	for n := 1; n <= MaxN/CellBits; n++ {
+		encoders = append(encoders, MustNCell(n))
+	}
+	for _, enc := range encoders {
+		ncell, cell := enc.(*NCell)
+		for n := 1; n <= maxLen; n++ {
+			for off := 0; off <= maxOff; off++ {
+				// Bit k of pattern picks whether chunk k (the byte tail
+				// included) is reachable.
+				for pattern := 0; pattern < 8; pattern++ {
+					p, e := prev[off:off+n], exact[off:off+n]
+					for k := 0; k < n; k += 8 {
+						end := min(k+8, n)
+						fillChunk(rng, p[k:end], e[k:end], pattern>>(k/8)&1 == 1, cell)
+					}
+					for i := range got {
+						got[i] = sentinel
+					}
+					gst := enc.EncodeSlice(p, e, got[off:off+n], bits.W8)
+					var wst BatchStats
+					if cell {
+						wst = scalarEncodeSpanCell(t, ncell, p, e, want[:n], bits.W8)
+					} else {
+						wst = scalarEncodeSpan(t, enc, p, e, want[:n], bits.W8)
+					}
+					if string(got[off:off+n]) != string(want[:n]) || gst != wst {
+						t.Fatalf("%s len %d off %d pattern %d: kernel % x %+v, scalar % x %+v (prev % x exact % x)",
+							enc.Name(), n, off, pattern, got[off:off+n], gst, want[:n], wst, p, e)
+					}
+					for i, v := range got {
+						if (i < off || i >= off+n) && v != sentinel {
+							t.Fatalf("%s len %d off %d: wrote byte %d outside the span", enc.Name(), n, off, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByteTableContract checks every entry of every stats-carrying W8 LUT
+// against the scalar encoders: the low byte is Approximate(p, e, W8) and
+// the high byte is |e − a|.
+func TestByteTableContract(t *testing.T) {
+	check := func(name string, lut *[1 << 16]uint16, enc Encoder) {
+		t.Helper()
+		for p := uint32(0); p < 256; p++ {
+			for e := uint32(0); e < 256; e++ {
+				a := enc.Approximate(p, e, bits.W8)
+				want := uint16(bits.AbsDiff(e, a))<<8 | uint16(a)
+				if got := lut[p<<8|e]; got != want {
+					t.Fatalf("%s LUT[p=%#x e=%#x] = %#04x, want approx %#x with error %d (%#04x)",
+						name, p, e, got, a, bits.AbsDiff(e, a), want)
+				}
+			}
+		}
+	}
+	check("OneBit", cachedKernel(1).byteTable(), OneBit{})
+	for n := 1; n <= MaxN; n++ {
+		check(MustNBit(n).Name(), cachedKernel(n).byteTable(), MustNBit(n))
+	}
+	for n := 1; n <= MaxN/CellBits; n++ {
+		check(MustNCell(n).Name(), cachedCellKernel(n).byteTable(), MustNCell(n))
+	}
+}

@@ -25,11 +25,12 @@
 //     the bit chain, the n = 2 cell table does NOT degenerate to a single
 //     mask expression (it fires on two distinct (e', p') shapes), so every
 //     n ≥ 2 probes the derived table.
-//   - For 8-bit values the chain folds into a lazily derived 65536-entry
-//     LUT indexed by (prevByte, exactByte), and reachable 8-byte runs are
-//     bulk-skipped with one word-wise cellGT64 test — which skips strictly
-//     more than the SLC subset test, since cell-level decreases that set
-//     bits (10 → 01) are reachable here.
+//   - For 8-bit values the chain folds into the same stats-carrying
+//     65536-entry uint16 LUT as the bit kernel's, walked by the shared
+//     encodeSpanW8; reachable 8-byte runs are bulk-skipped with one
+//     word-wise cellGT64 test — which skips strictly more than the SLC
+//     subset test, since cell-level decreases that set bits (10 → 01) are
+//     reachable here.
 //
 // The kernel is bit-identical to the scalar NCell on every input;
 // mlckernel_test.go proves it exhaustively for 8-bit values and by fuzzing
@@ -76,9 +77,9 @@ type ncellKernel struct {
 	fire    []bool // radix-4 minimax table, indexed eLow<<(2m) | pLow
 
 	// byteOnce/byteLUT is the 8-bit-value fast path, exactly like the bit
-	// kernel's: approx byte indexed by prevByte<<8 | exactByte.
+	// kernel's (deriveByteTable): 128 KiB per n.
 	byteOnce sync.Once
-	byteLUT  []byte
+	byteLUT  *[1 << 16]uint16
 }
 
 // cellKernelCache holds the compiled cell kernels, one per window size.
@@ -141,17 +142,9 @@ func cellGreedyBelow(pLow, eLow uint32, m int) uint32 {
 	return g
 }
 
-// byteTable derives (once) and returns the 65536-entry per-byte LUT.
-func (k *ncellKernel) byteTable() []byte {
-	k.byteOnce.Do(func() {
-		lut := make([]byte, 1<<16)
-		for p := uint32(0); p < 256; p++ {
-			for e := uint32(0); e < 256; e++ {
-				lut[p<<8|e] = byte(k.value(p, e))
-			}
-		}
-		k.byteLUT = lut
-	})
+// byteTable derives (once) and returns the per-byte LUT.
+func (k *ncellKernel) byteTable() *[1 << 16]uint16 {
+	k.byteOnce.Do(func() { k.byteLUT = deriveByteTable(k.value) })
 	return k.byteLUT
 }
 
@@ -238,35 +231,6 @@ func encodeSpanCell(prev, exact, approx []byte, w bits.Width, fn func(p, e uint3
 	return st
 }
 
-// encodeSpanCellW8 is the 8-bit-value walker: one byteLUT hit per value.
-// It walks whole 8-byte chunks — one cellGT64 verdict decides between a
-// bulk copy and eight LUT hits — so change-dense spans pay the word-wise
-// test once per chunk, not once per byte.
-func encodeSpanCellW8(prev, exact, approx []byte, lut []byte) BatchStats {
-	var st BatchStats
-	i := 0
-	for ; i+8 <= len(exact); i += 8 {
-		if cellGT64(binary.LittleEndian.Uint64(exact[i:]), binary.LittleEndian.Uint64(prev[i:])) == 0 {
-			copy(approx[i:i+8], exact[i:i+8])
-			st.Count += 8
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			e := exact[j]
-			a := lut[uint32(prev[j])<<8|uint32(e)]
-			approx[j] = a
-			st.add(uint32(e), uint32(a))
-		}
-	}
-	for ; i < len(exact); i++ {
-		e := exact[i]
-		a := lut[uint32(prev[i])<<8|uint32(e)]
-		approx[i] = a
-		st.add(uint32(e), uint32(a))
-	}
-	return st
-}
-
 // EncodeSlice implements BatchEncoder: the batch form of the §VI n-cell
 // algorithm. Outputs are reachable from prev under MLC semantics by
 // construction (every cell level only decreases), so Unreachable is always
@@ -274,7 +238,7 @@ func encodeSpanCellW8(prev, exact, approx []byte, lut []byte) BatchStats {
 func (e *NCell) EncodeSlice(prev, exact, approx []byte, w bits.Width) BatchStats {
 	k := e.kern
 	if w == bits.W8 {
-		return encodeSpanCellW8(prev, exact, approx, k.byteTable())
+		return encodeSpanW8(prev, exact, approx, k.byteTable(), true)
 	}
 	if e.n == 1 {
 		return encodeSpanCell(prev, exact, approx, w, ncell1Value)

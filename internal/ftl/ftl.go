@@ -85,6 +85,14 @@ type FTL struct {
 	unusable   []bool
 	bufA, bufB []byte
 
+	// Journal scratch, sized once in Open so a swap allocates nothing:
+	// the checkpoint image (the map blob followed by 0xFF padding to
+	// whole pages, programmed page by page), one page of checkpoint
+	// read-back, and one intent record.
+	ckptImage []byte
+	ckptGot   []byte
+	intentBuf [intentRecSize]byte
+
 	stats Stats
 }
 
@@ -156,6 +164,11 @@ func Open(dev *core.Device, opts ...Option) (*FTL, error) {
 	f.lay = lay
 	f.poolBase, f.poolSize = lay.poolBase, lay.spares
 	f.initMaps(lay.nl)
+	f.ckptImage = make([]byte, lay.mapPages*lay.ps)
+	for i := mapBlobSize(lay.nl); i < len(f.ckptImage); i++ {
+		f.ckptImage[i] = 0xFF
+	}
+	f.ckptGot = make([]byte, lay.ps)
 	if err := f.recover(); err != nil {
 		return nil, err
 	}
@@ -356,9 +369,12 @@ func (f *FTL) levelWear(touched []int) error {
 		// the exchange mid-way (the health gate refuses the second write
 		// after the first landed). An at-rating endpoint is as bad: the
 		// erase the swap needs is the one that corrupts it — that page's
-		// future is retirement, not relocation. Leveling is an
-		// optimisation; skip rather than risk it.
-		if cold < 0 || hot == cold || f.unusable[hot] || f.wear[hot]-coldW < f.swapDelta {
+		// future is retirement, not relocation. The same goes for the
+		// journal's swap scratch page, which every journaled swap erases:
+		// at its rating, the swap would fail after its intent is logged.
+		// Leveling is an optimisation; skip rather than risk it.
+		if cold < 0 || hot == cold || f.unusable[hot] || f.journaled && f.unusable[f.lay.spare] ||
+			f.wear[hot]-coldW < f.swapDelta {
 			continue
 		}
 		var err error

@@ -304,7 +304,7 @@ func (f *FTL) appendIntent(it intentRec) error {
 		f.intentOff = 0
 		f.stats.IntentErases++
 	}
-	rec := make([]byte, intentRecSize)
+	rec := f.intentBuf[:]
 	rec[0] = intentMagic
 	putU32(rec[1:], it.seq)
 	putU16(rec[5:], uint16(it.a))
@@ -373,7 +373,7 @@ func (f *FTL) parseIntents() ([]intentRec, int) {
 // erase + program + read-back verify, retrying so recoverable stuck cells
 // get a second erase.
 func (f *FTL) writeCheckpoint(slot int) error {
-	blob := make([]byte, mapBlobSize(f.lay.nl))
+	blob := f.ckptImage[:mapBlobSize(f.lay.nl)]
 	putU32(blob, f.mapSeq)
 	for lp, pp := range f.l2p {
 		putU16(blob[4+2*lp:], uint16(pp))
@@ -387,11 +387,7 @@ func (f *FTL) writeCheckpoint(slot int) error {
 		ok := true
 		for i := 0; i < f.lay.mapPages; i++ {
 			page := f.lay.slot[slot] + i
-			chunk := make([]byte, ps)
-			for j := range chunk {
-				chunk[j] = 0xFF
-			}
-			copy(chunk, blob[min(i*ps, len(blob)):min((i+1)*ps, len(blob))])
+			chunk := f.ckptImage[i*ps : (i+1)*ps]
 			if err := fl.EraseProgramPage(page, chunk); err != nil {
 				if !retryableWriteErr(err) {
 					return err
@@ -399,7 +395,7 @@ func (f *FTL) writeCheckpoint(slot int) error {
 				lastErr, ok = err, false
 				break
 			}
-			got := make([]byte, ps)
+			got := f.ckptGot
 			if err := fl.ReadPage(page, got); err != nil {
 				return err
 			}

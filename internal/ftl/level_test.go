@@ -315,6 +315,104 @@ func TestWriteSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteSwapAllocs: frame writes at the default swap threshold, where
+// about every other write levels wear with a journaled swap, allocate
+// nothing — the intent record, the checkpoint image and its read-back all
+// live in buffers sized once by Open.
+func TestWriteSwapAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; allocation counts are meaningless")
+	}
+	f, frames := frameRig(t)
+	n := 0
+	write := func() {
+		if err := f.Write(0, frames[n%len(frames)]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for i := 0; i < 2*len(frames); i++ {
+		write()
+	}
+	before := f.Stats()
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("swapping frame write allocates %.2f times, want 0", allocs)
+	}
+	after := f.Stats()
+	if after.Swaps-before.Swaps < 10 || after.Checkpoints == before.Checkpoints {
+		t.Errorf("measured writes made %d swaps and %d checkpoints: the swap path was not exercised",
+			after.Swaps-before.Swaps, after.Checkpoints-before.Checkpoints)
+	}
+}
+
+// TestLevelingStopsAtWornScratch drives a journaled FTL until the swap
+// scratch page, which every journaled swap erases, reaches its endurance
+// rating. From then on leveling must skip swaps instead of failing the
+// write, the scratch page must take no further erase, and a remount must
+// find every logical page intact.
+func TestLevelingStopsAtWornScratch(t *testing.T) {
+	s := flash.DefaultSpec()
+	s.PageSize = 64
+	s.NumPages = 48
+	s.EnduranceCycles = 200
+	dev := core.MustNewDevice(s)
+	f, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := dev.Flash()
+	want := make([][]byte, f.NumPages())
+	for lp := range want {
+		want[lp] = make([]byte, f.PageSize())
+		for i := range want[lp] {
+			want[lp][i] = byte(lp + i)
+		}
+		if err := f.Write(lp*f.PageSize(), want[lp]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Alternate page 0 between two images that each need an erase, so it
+	// runs hot and leveling keeps swapping it through the scratch page.
+	hot := [2][]byte{make([]byte, f.PageSize()), make([]byte, f.PageSize())}
+	for i := range hot[1] {
+		hot[1][i] = 0xFF
+	}
+	writes := 0
+	for ; !fl.AtRating(f.lay.spare); writes++ {
+		if writes == 100000 {
+			t.Fatal("the scratch page never reached its rating")
+		}
+		if err := f.Write(0, hot[writes%2]); err != nil {
+			t.Fatalf("write %d (scratch wear %d): %v", writes, fl.Wear(f.lay.spare), err)
+		}
+	}
+	swaps, scratchWear := f.Stats().Swaps, fl.Wear(f.lay.spare)
+	for i := 0; i < 50; i++ {
+		if err := f.Write(0, hot[writes%2]); err != nil {
+			t.Fatalf("write %d after the scratch page reached its rating: %v", writes, err)
+		}
+		writes++
+	}
+	if f.Stats().Swaps != swaps || fl.Wear(f.lay.spare) != scratchWear {
+		t.Errorf("%d swaps and %d scratch erases after the scratch page reached its rating, want none",
+			f.Stats().Swaps-swaps, fl.Wear(f.lay.spare)-scratchWear)
+	}
+	want[0] = hot[(writes-1)%2]
+	g, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, g.PageSize())
+	for lp := range want {
+		if err := g.Read(lp*g.PageSize(), got); err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want[lp]) {
+			t.Fatalf("logical page %d after remount: % x, want % x", lp, got, want[lp])
+		}
+	}
+}
+
 // BenchmarkFTLWrite measures a 4 KiB approximate frame written in place
 // through a journaled FTL at the default swap threshold — the device
 // commit, the wear-leveling check and the occasional journaled swap.
