@@ -2,6 +2,7 @@ package isc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
 )
@@ -81,6 +82,9 @@ type Index struct {
 	// post-program byte without a read (controller RAM metadata, exactly
 	// like the page map an FTL keeps).
 	shadow []byte
+	// members counts the member bits (0s) in the payload of every bitmap:
+	// kept by Add, recounted by Load, zeroed by Reset.
+	members int
 
 	// scratch is a free-list of page-sized buffers for the recursive
 	// planner; senseP/senseI batch leaf pages for one SenseMulti call.
@@ -90,7 +94,8 @@ type Index struct {
 }
 
 // NewIndex builds an index over a carved region. The region's pages are
-// assumed erased or previously index-owned; call Reset to (re)initialise.
+// assumed erased or previously index-owned: call Reset to empty it, or
+// Load to adopt the bitmaps already there.
 func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -111,9 +116,7 @@ func NewIndex(dev Device, cfg IndexConfig) (*Index, error) {
 		off += f.Buckets
 	}
 	ix.shadow = make([]byte, ix.lay.requiredPages(off)*cfg.PageSize)
-	for i := range ix.shadow {
-		ix.shadow[i] = 0xFF
-	}
+	fillErased(ix.shadow)
 	return ix, nil
 }
 
@@ -126,15 +129,51 @@ func (ix *Index) BitmapBytes() int { return ix.lay.bytes }
 // Slots returns the slot capacity.
 func (ix *Index) Slots() int { return ix.cfg.Slots }
 
-// Reset erases the whole bitmap region, emptying every bucket.
+// Members returns how many member bits the bitmaps hold: one per Add that
+// programmed a bit since the last Reset, or the count Load found. Stale
+// members (of updated or deleted records) are included, so Members minus
+// the live memberships estimates how many false positives scans pay for.
+func (ix *Index) Members() int { return ix.members }
+
+// Reset empties every bucket by erasing the payload pages of each bitmap.
+// The bank-alignment padding after a bitmap's last chunk is never
+// programmed or sensed, so it is not erased either.
 func (ix *Index) Reset() error {
-	for p := 0; p < ix.Pages(); p++ {
-		if err := ix.dev.ErasePage(ix.cfg.FirstPage + p); err != nil {
-			return err
+	for b := 0; b < ix.cfg.totalBuckets(); b++ {
+		for c := 0; c < ix.lay.chunkPages; c++ {
+			if err := ix.dev.ErasePage(ix.lay.page(b, c)); err != nil {
+				return err
+			}
 		}
 	}
-	for i := range ix.shadow {
-		ix.shadow[i] = 0xFF
+	fillErased(ix.shadow)
+	ix.members = 0
+	return nil
+}
+
+// Load adopts the bitmaps already in the region — left by an earlier
+// Index over the same configuration — by reading their payload bytes into
+// the shadow and counting the members. It never erases, so an index that
+// outlives a reboot costs a read of its payload instead of a Reset and a
+// re-Add of every record.
+func (ix *Index) Load() error {
+	ix.members = 0
+	for b := 0; b < ix.cfg.totalBuckets(); b++ {
+		for c := 0; c < ix.lay.chunkPages; c++ {
+			page := ix.lay.page(b, c)
+			off := (page - ix.cfg.FirstPage) * ix.cfg.PageSize
+			chunk := ix.shadow[off : off+ix.lay.chunkLen(c)]
+			if err := ix.dev.Read(page*ix.cfg.PageSize, chunk); err != nil {
+				return err
+			}
+			for _, v := range chunk {
+				ix.members += 8 - bits.OnesCount8(v)
+			}
+			if rem := ix.cfg.Slots % 8; rem != 0 && c == ix.lay.chunkPages-1 {
+				// Bits past the slot count are never members.
+				ix.members -= 8 - rem - bits.OnesCount8(chunk[len(chunk)-1]>>rem)
+			}
+		}
 	}
 	return nil
 }
@@ -176,6 +215,7 @@ func (ix *Index) Add(slot int, field string, bucket int) error {
 		return err
 	}
 	ix.shadow[shOff] = nv
+	ix.members++
 	return nil
 }
 

@@ -213,6 +213,161 @@ func TestIndexMaintenanceIsEraseFree(t *testing.T) {
 	}
 }
 
+// TestResetErasesPayloadOnly: Reset erases the payload pages of every
+// bitmap — buckets × chunkPages — and leaves the bank-alignment padding
+// alone; dirt in that padding must not leak into either query path.
+func TestResetErasesPayloadOnly(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testIndexConfig()
+	ix, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.lay.stride == ix.lay.chunkPages {
+		t.Fatal("test geometry has no padding pages")
+	}
+	buckets := cfg.totalBuckets()
+	for b := 0; b < buckets; b++ {
+		for c := ix.lay.chunkPages; c < ix.lay.stride; c++ {
+			for off := 0; off < cfg.PageSize; off += 3 {
+				if err := dev.ProgramByte(ix.lay.page(b, c)*cfg.PageSize+off, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	before := dev.Stats().Erases
+	if err := ix.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dev.Stats().Erases-before, uint64(buckets*ix.lay.chunkPages); got != want {
+		t.Fatalf("Reset issued %d erases, want %d (buckets × chunkPages)", got, want)
+	}
+	if ix.Members() != 0 {
+		t.Fatalf("Members after Reset = %d", ix.Members())
+	}
+	rng := xrand.New(0x9AD)
+	model := membership{}
+	for slot := 0; slot < ix.Slots(); slot++ {
+		for _, f := range cfg.Fields {
+			b := rng.Intn(f.Buckets)
+			if err := ix.Add(slot, f.Name, b); err != nil {
+				t.Fatal(err)
+			}
+			model.add(f.Name, b, slot)
+		}
+	}
+	inFlash := make([]byte, ix.BitmapBytes())
+	host := make([]byte, ix.BitmapBytes())
+	for trial := 0; trial < 100; trial++ {
+		p := randomPred(rng, 3)
+		if err := ix.Query(p, inFlash); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.QueryHost(p, host); err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < ix.Slots(); slot++ {
+			want := evalModel(p, model, slot)
+			if bit(inFlash, slot) != want || bit(host, slot) != want {
+				t.Fatalf("trial %d %s: slot %d in-flash=%v host=%v model=%v",
+					trial, p, slot, bit(inFlash, slot), bit(host, slot), want)
+			}
+		}
+	}
+}
+
+// TestIndexLoadAdoptsBitmaps: a second Index over the same region adopts
+// the first one's bitmaps with reads only — same shadow, same member
+// count (padding bits past the slot count excluded), same query answers —
+// and re-adding a member it loaded programs nothing.
+func TestIndexLoadAdoptsBitmaps(t *testing.T) {
+	dev := testDevice(t)
+	cfg := testIndexConfig()
+	a, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(0x10AD)
+	for i := 0; i < 500; i++ {
+		f := cfg.Fields[rng.Intn(len(cfg.Fields))]
+		if err := a.Add(rng.Intn(a.Slots()), f.Name, rng.Intn(f.Buckets)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Clear the bits past the slot count in one bitmap's last byte, as
+	// drift could: they are not members.
+	last := a.lay.page(0, a.lay.chunkPages-1)*cfg.PageSize + a.lay.chunkLen(a.lay.chunkPages-1) - 1
+	var cur [1]byte
+	if err := dev.Read(last, cur[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.ProgramByte(last, cur[0]&0x0F); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := NewIndex(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dev.Stats()
+	if err := b.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if d := dev.Stats().Sub(before); d.Erases != 0 || d.Programs != 0 {
+		t.Fatalf("Load erased %d / programmed %d", d.Erases, d.Programs)
+	}
+	if b.Members() != a.Members() {
+		t.Fatalf("loaded %d members, the writer added %d", b.Members(), a.Members())
+	}
+	for i := range a.shadow {
+		if i == last-cfg.FirstPage*cfg.PageSize {
+			continue
+		}
+		if a.shadow[i] != b.shadow[i] {
+			t.Fatalf("shadow byte %d: loaded %08b, writer %08b", i, b.shadow[i], a.shadow[i])
+		}
+	}
+	ga := make([]byte, a.BitmapBytes())
+	gb := make([]byte, b.BitmapBytes())
+	for trial := 0; trial < 50; trial++ {
+		p := randomPred(rng, 3)
+		if err := a.Query(p, ga); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Query(p, gb); err != nil {
+			t.Fatal(err)
+		}
+		for slot := 0; slot < b.Slots(); slot++ {
+			if bit(ga, slot) != bit(gb, slot) {
+				t.Fatalf("trial %d %s: slot %d differs after Load", trial, p, slot)
+			}
+		}
+	}
+	// Find a loaded member and re-add it: no program, no count change.
+	for slot := 0; slot < b.Slots(); slot++ {
+		if err := b.Query(Eq("status", 1), gb); err != nil {
+			t.Fatal(err)
+		}
+		if !bit(gb, slot) {
+			continue
+		}
+		n := b.Members()
+		before := dev.Stats()
+		if err := b.Add(slot, "status", 1); err != nil {
+			t.Fatal(err)
+		}
+		if d := dev.Stats().Sub(before); d.Programs != 0 || b.Members() != n {
+			t.Fatalf("re-adding loaded member %d programmed %d, members %d → %d", slot, d.Programs, n, b.Members())
+		}
+		return
+	}
+	t.Fatal("no member of status=1 found")
+}
+
 // TestIndexErrors covers schema validation and argument checks.
 func TestIndexErrors(t *testing.T) {
 	dev := testDevice(t)
@@ -281,6 +436,82 @@ func TestPredEval(t *testing.T) {
 		if got := Eval(tc.p, of); got != tc.want {
 			t.Errorf("%s = %v, want %v", tc.p, got, tc.want)
 		}
+	}
+}
+
+// TestCompileMatchesEval: the compiled matcher agrees with Eval on random
+// multi-field And/Or/Not/In trees — including leaves on fields outside the
+// schema and out-of-range or negative buckets — over random bucket
+// vectors that include −1 (no value).
+func TestCompileMatchesEval(t *testing.T) {
+	rng := xrand.New(0xC0DE)
+	schema := []string{"status", "region", "kind"}
+	names := append(append([]string(nil), schema...), "missing")
+	bucket := func() int { return rng.Intn(7) - 1 } // −1 … 5
+	var gen func(depth int) Pred
+	gen = func(depth int) Pred {
+		if depth == 0 || rng.Intn(4) == 0 {
+			f := names[rng.Intn(len(names))]
+			if rng.Intn(3) == 0 {
+				bs := make([]int, 1+rng.Intn(5))
+				for i := range bs {
+					bs[i] = bucket()
+				}
+				if rng.Intn(8) == 0 {
+					bs = append(bs, 70) // a second bitset word
+				}
+				return In(f, bs...)
+			}
+			return Eq(f, bucket())
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return Not(gen(depth - 1))
+		case 1:
+			kids := make([]Pred, rng.Intn(4))
+			for i := range kids {
+				kids[i] = gen(depth - 1)
+			}
+			return And(kids...)
+		default:
+			kids := make([]Pred, rng.Intn(4))
+			for i := range kids {
+				kids[i] = gen(depth - 1)
+			}
+			return Or(kids...)
+		}
+	}
+	vec := make([]int, len(schema))
+	for trial := 0; trial < 2000; trial++ {
+		p := gen(4)
+		m := Compile(p, schema)
+		for rec := 0; rec < 20; rec++ {
+			for i := range vec {
+				vec[i] = bucket()
+			}
+			if rec == 0 {
+				vec[rng.Intn(len(vec))] = 70
+			}
+			of := func(f string) int {
+				for i, n := range schema {
+					if n == f {
+						return vec[i]
+					}
+				}
+				return -1
+			}
+			if got, want := m.Match(vec), Eval(p, of); got != want {
+				t.Fatalf("trial %d: %s on %v: compiled %v, Eval %v", trial, p, vec, got, want)
+			}
+		}
+		for _, f := range m.Fields() {
+			if f < 0 || f >= len(schema) {
+				t.Fatalf("trial %d: field position %d outside the schema", trial, f)
+			}
+		}
+	}
+	if m := Compile(Not(In("region", 0, 2, 4)), schema); len(m.Fields()) != 1 || m.Fields()[0] != 1 {
+		t.Fatalf("Fields of a region-only predicate = %v, want [1]", m.Fields())
 	}
 }
 

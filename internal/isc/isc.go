@@ -106,6 +106,15 @@ func maskTail(dst []byte, slots int) {
 	}
 }
 
+// fillErased sets b (non-empty) to the erased state, all ones, doubling a
+// copy so a multi-megabyte shadow costs a few memmoves, not a byte loop.
+func fillErased(b []byte) {
+	b[0] = 0xFF
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}
+
 // checkGeometry validates the fields every in-storage structure shares.
 func checkGeometry(pageSize, banks, maxSense, firstPage, slots int) error {
 	switch {

@@ -2,6 +2,7 @@ package isc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -105,6 +106,151 @@ func Eval(p Pred, bucketOf func(field string) int) bool {
 		return false
 	}
 	return false
+}
+
+// Matcher is a predicate compiled against a field schema, so the exact
+// per-record check costs a few comparisons on an array of buckets instead
+// of a tree walk with a name lookup per leaf. Build one with Compile.
+type Matcher struct {
+	root   matchNode
+	fields []int // schema positions the predicate reads, ascending
+}
+
+type matchOp uint8
+
+const (
+	matchConst matchOp = iota // leaf on a field outside the schema: truth
+	matchEq                   // buckets[field] == bucket
+	matchSet                  // buckets[field] is in set
+	matchAnd
+	matchOr
+	matchNot
+)
+
+type matchNode struct {
+	op     matchOp
+	truth  bool
+	field  int
+	bucket int
+	set    []uint64 // matchSet: bit b set ⇔ bucket b matches
+	kids   []matchNode
+}
+
+// maxSetBucket bounds the bucket numbers a same-field Or is lowered to a
+// bitset for; larger (or negative) buckets keep their equality leaves.
+const maxSetBucket = 1 << 16
+
+// Compile lowers p once against a schema — fields lists the field names,
+// and a record's buckets are passed to Match in the same order. Equality
+// leaves become (field position, bucket) comparisons, an Or of equalities
+// on one field becomes a bucket-bitset test, and And/Or/Not stay as
+// nodes. A leaf on a field outside the schema sees bucket −1 (no value),
+// as Eval does with a bucketOf that reports −1 for unknown fields.
+func Compile(p Pred, fields []string) *Matcher {
+	m := &Matcher{}
+	m.root = m.compile(p, fields)
+	slices.Sort(m.fields)
+	return m
+}
+
+// field resolves a field name to its schema position, noting it as read.
+func (m *Matcher) field(name string, fields []string) (int, bool) {
+	i := slices.Index(fields, name)
+	if i >= 0 && !slices.Contains(m.fields, i) {
+		m.fields = append(m.fields, i)
+	}
+	return i, i >= 0
+}
+
+func (m *Matcher) compile(p Pred, fields []string) matchNode {
+	switch n := p.(type) {
+	case predEq:
+		i, ok := m.field(n.field, fields)
+		if !ok {
+			return matchNode{op: matchConst, truth: n.bucket == -1}
+		}
+		return matchNode{op: matchEq, field: i, bucket: n.bucket}
+	case predNot:
+		return matchNode{op: matchNot, kids: []matchNode{m.compile(n.kid, fields)}}
+	case predAnd:
+		return matchNode{op: matchAnd, kids: m.compileKids(n.kids, fields)}
+	case predOr:
+		if set, ok := m.bucketSet(n.kids, fields); ok {
+			return set
+		}
+		return matchNode{op: matchOr, kids: m.compileKids(n.kids, fields)}
+	}
+	return matchNode{op: matchConst}
+}
+
+func (m *Matcher) compileKids(kids []Pred, fields []string) []matchNode {
+	out := make([]matchNode, len(kids))
+	for i, k := range kids {
+		out[i] = m.compile(k, fields)
+	}
+	return out
+}
+
+// bucketSet lowers an Or whose kids are equalities on one schema field
+// with buckets in [0, maxSetBucket) to a single bitset node.
+func (m *Matcher) bucketSet(kids []Pred, fields []string) (matchNode, bool) {
+	field, set, ok := sameFieldEqs(kids)
+	if !ok {
+		return matchNode{}, false
+	}
+	words := 0
+	for b := range set {
+		if b < 0 || b >= maxSetBucket {
+			return matchNode{}, false
+		}
+		words = max(words, b/64+1)
+	}
+	i, known := m.field(field, fields)
+	if !known {
+		return matchNode{}, false
+	}
+	n := matchNode{op: matchSet, field: i, set: make([]uint64, words)}
+	for b := range set {
+		n.set[b/64] |= 1 << (b % 64)
+	}
+	return n, true
+}
+
+// Fields returns the schema positions the predicate reads, ascending:
+// Match looks at no other entry of its buckets argument, so callers need
+// only derive these.
+func (m *Matcher) Fields() []int { return m.fields }
+
+// Match evaluates the compiled predicate for one record, given its bucket
+// per schema field (negative for a field the record has no value for). It
+// agrees with Eval on every input.
+func (m *Matcher) Match(buckets []int) bool { return m.root.match(buckets) }
+
+func (n *matchNode) match(b []int) bool {
+	switch n.op {
+	case matchEq:
+		return b[n.field] == n.bucket
+	case matchSet:
+		v := b[n.field]
+		return v >= 0 && v < 64*len(n.set) && n.set[v/64]&(1<<(v%64)) != 0
+	case matchAnd:
+		for i := range n.kids {
+			if !n.kids[i].match(b) {
+				return false
+			}
+		}
+		return true
+	case matchOr:
+		for i := range n.kids {
+			if n.kids[i].match(b) {
+				return true
+			}
+		}
+		return false
+	case matchNot:
+		return !n.kids[0].match(b)
+	}
+	return n.truth
 }
 
 // Positive rewrites p into negation normal form with every leaf positive:

@@ -33,7 +33,15 @@ import (
 //	nextSeq(4) | dataPages(4) | keyCount(4)
 //	dataPages × [ seq(4) | used(4) | live(4) | flags(1) ]   (bit0 = bad)
 //	keyCount  × [ keyLen(1) | key | page(4) | off(2) | size(2) | flags(1) ]
+//	slot section, when flags bit0 is set:
+//	  slots(4) | digest(4) | runs(4) | runs × [ first(uvarint) | n(uvarint) ]
 //	crc32(4) over everything before it
+//
+// The slot section is the scan index's key → slot map for the live key
+// entries above, in their order, run-length coded (see appendSlotTable),
+// so a mount can keep the bitmaps in flash instead of rebuilding them. It is
+// written only while the index is live and only if it fits the slot; a
+// store without a scan index writes flags = 0 and no section.
 const (
 	ckptMagic    = "FBCP"
 	ckptVersion  = 1
@@ -43,6 +51,9 @@ const (
 
 	ckptPageBad   = 0x01
 	ckptEntryDead = 0x01
+
+	ckptFlagSlotTable = 0x01 // header flags: a slot section precedes the CRC
+	ckptRevokeLen     = 10   // magic, version, flags and blobLen: zeroed to revoke a blob
 )
 
 // ErrNoCheckpoint reports a Checkpoint call on a store mounted without
@@ -53,7 +64,10 @@ var ErrNoCheckpoint = errors.New("kvs: checkpointing not configured")
 type CheckpointConfig struct {
 	// SlotPages is the size of each of the two checkpoint slots, in pages
 	// (default 1). The blob must fit one slot: 30 bytes + 13 per data page
-	// + (10 + len(key)) per key + 4.
+	// + (10 + len(key)) per key + 4. With a scan index, the slot table
+	// adds 12 bytes + 2 to 10 per run — one run for a freshly rebuilt
+	// index, at most two more per key first Put since — and is left out
+	// (the next mount then rebuilds the index) when it does not fit.
 	SlotPages int
 	// Interval auto-checkpoints every Interval committed appends
 	// (0 = manual Checkpoint calls only).
@@ -160,6 +174,34 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
+// revokeSlotTables invalidates every checkpoint slot whose blob carries
+// a scan-index slot table, by programming the blob's first ckptRevokeLen
+// header bytes to zeros — an erase-free 1→0 write that no single damaged
+// byte can undo. A rebuild calls it before erasing the bitmaps: those
+// tables describe the numbering being erased, and neither a crash
+// mid-rebuild nor a later fallback to the older slot may trust them.
+// revoked reports whether any slot was invalidated.
+func (s *Store) revokeSlotTables() (revoked bool, err error) {
+	if s.ckpt == nil {
+		return false, nil
+	}
+	var hdr [6]byte
+	for _, base := range s.ckpt.slotBase {
+		addr := s.pageBase(base)
+		if err := s.b.Read(addr, hdr[:]); err != nil {
+			return revoked, err
+		}
+		if string(hdr[:4]) != ckptMagic || hdr[5]&ckptFlagSlotTable == 0 {
+			continue
+		}
+		if err := s.b.Write(addr, make([]byte, ckptRevokeLen)); err != nil {
+			return revoked, err
+		}
+		revoked = true
+	}
+	return revoked, nil
+}
+
 // maybeCheckpoint is the post-append hook implementing
 // CheckpointConfig.Interval. Non-fatal checkpoint failures are absorbed
 // (counted in CheckpointFailures; the previous checkpoint stays in force
@@ -192,11 +234,27 @@ func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
 		n += ckptKeyFixed + len(k)
 	}
 	sort.Strings(keys)
+	var table []byte
+	if s.ScanIndexed() {
+		live := make([]string, 0, len(keys))
+		for _, k := range keys {
+			if !s.index[k].dead {
+				live = append(live, k)
+			}
+		}
+		table = s.scanIdx.appendSlotTable(nil, live)
+		if n+len(table) > s.ckpt.cfg.SlotPages*s.ps {
+			table = nil
+		}
+		n += len(table)
+	}
 
 	blob := make([]byte, n)
 	copy(blob, ckptMagic)
 	blob[4] = ckptVersion
-	blob[5] = 0
+	if table != nil {
+		blob[5] = ckptFlagSlotTable
+	}
 	putLEU32(blob[6:], uint32(n))
 	putLEU64(blob[10:], cpSeq)
 	putLEU32(blob[18:], s.nextSeq)
@@ -225,6 +283,7 @@ func (s *Store) encodeCheckpoint(cpSeq uint64) []byte {
 		}
 		off += ckptKeyFixed - 1
 	}
+	off += copy(blob[off:], table)
 	putLEU32(blob[off:], crc32.ChecksumIEEE(blob[:off]))
 	return blob
 }
@@ -238,6 +297,10 @@ type ckptImage struct {
 	pageLive []int
 	pageBad  []bool
 	entries  map[string]location
+	// slotSec is the raw slot section (nil when the blob has none), and
+	// keys the live entries' keys in blob order, which the section indexes.
+	slotSec []byte
+	keys    []string
 }
 
 // loadCheckpoint reads both slots and returns the newest valid image (nil
@@ -305,6 +368,10 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 		cpSeq:   leU64(blob[10:]),
 		nextSeq: leU32(blob[18:]),
 	}
+	hdrFlags := blob[5]
+	if hdrFlags&^byte(ckptFlagSlotTable) != 0 {
+		return nil, nil
+	}
 	dataPages := int(leU32(blob[22:]))
 	keyCount := int(leU32(blob[26:]))
 	if dataPages != s.np || img.nextSeq == freeSeq || keyCount < 0 {
@@ -354,6 +421,7 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 	}
 	img.entries = make(map[string]location, keyCount)
 	entryLive := make([]int, dataPages)
+	tabled := hdrFlags&ckptFlagSlotTable != 0
 	for i := 0; i < keyCount; i++ {
 		if off+1 > blobLen-crcSize {
 			return nil, nil
@@ -386,8 +454,13 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 			dead: flags&ckptEntryDead != 0,
 		}
 		entryLive[page] += size
+		if tabled && flags&ckptEntryDead == 0 {
+			img.keys = append(img.keys, key)
+		}
 	}
-	if off != blobLen-crcSize {
+	if tabled {
+		img.slotSec = blob[off : blobLen-crcSize]
+	} else if off != blobLen-crcSize {
 		return nil, nil
 	}
 	// Every live byte the page table claims must be exactly accounted for

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/flipbit-sim/flipbit/internal/flash"
+	"github.com/flipbit-sim/flipbit/internal/isc"
 	"github.com/flipbit-sim/flipbit/internal/xrand"
 )
 
@@ -60,14 +62,65 @@ func (m *memBackend) ErasePage(p int) error {
 func (m *memBackend) PageSize() int { return m.ps }
 func (m *memBackend) NumPages() int { return len(m.data) / m.ps }
 
+// memBackend is also an InFlashBackend — one bank, senses computed from
+// the byte image — so stores on it can arm the scan index.
+func (m *memBackend) Banks() int         { return 1 }
+func (m *memBackend) MaxSensePages() int { return flash.DefaultMaxSensePages }
+
+func (m *memBackend) ProgramByte(addr int, v byte) error { return m.Write(addr, []byte{v}) }
+
+func (m *memBackend) SenseMulti(op flash.SenseOp, pages []int, invert []bool, dst []byte) error {
+	for i := range dst {
+		acc := byte(0xFF)
+		if op == flash.SenseOR {
+			acc = 0
+		}
+		for j, p := range pages {
+			v := m.data[p*m.ps+i]
+			if invert != nil && invert[j] {
+				v = ^v
+			}
+			if op == flash.SenseOR {
+				acc |= v
+			} else {
+				acc &= v
+			}
+		}
+		dst[i] = acc
+	}
+	return nil
+}
+
 // Fuzz geometry: 24 pages of 128 bytes, two 3-page checkpoint slots, 18
 // data pages. The largest possible blob (8 single-byte-suffix keys) is 364
-// bytes and fits the 384-byte slot.
+// bytes and fits the 384-byte slot. Seeds with bit 2 set also arm a scan
+// index over 8 slots and one 4-bucket field: 4 more pages off the data
+// log, and at most 8 two-byte runs plus 12 bytes of slot table.
 const (
 	fuzzPS    = 128
 	fuzzNP    = 24
 	fuzzSlots = 3
 )
+
+// fuzzIndexed reports whether a fuzz seed arms the scan index.
+func fuzzIndexed(seed byte) bool { return seed&4 != 0 }
+
+// fuzzOptions are the mount options of a fuzz image.
+func fuzzOptions(seed byte, cfg CheckpointConfig) []Option {
+	cfg.SlotPages = fuzzSlots
+	opts := []Option{WithCheckpoint(cfg)}
+	if fuzzIndexed(seed) {
+		opts = append(opts, WithScanIndex(IndexSpec{MaxKeys: 8, Fields: []IndexField{{
+			Name: "b0", Buckets: 4, Extract: func(_ string, v []byte) int { return int(v[0]) % 4 },
+		}}}))
+	}
+	return opts
+}
+
+// fuzzPreds are the scans the indexed fuzz oracle compares.
+var fuzzPreds = []isc.Pred{
+	isc.Eq("b0", 0), isc.Eq("b0", 1), isc.Eq("b0", 2), isc.Eq("b0", 3), isc.Not(isc.In("b0", 1, 2)),
+}
 
 var fuzzKeys = [8]string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 
@@ -94,17 +147,24 @@ func fuzzWorkload(s *Store, rng *xrand.RNG, n int) {
 // buildFuzzImage produces a realistic flash image: a seeded workload with
 // two checkpoint generations and a post-checkpoint tail, so damage can land
 // on a current checkpoint, a stale one, or neither.
+// An indexed image is also rebooted between the generations, so its slots
+// can hold kept, rebuilt and revoked slot tables.
 func buildFuzzImage(seed, o1, o2 byte) *memBackend {
 	m := newMemBackend(fuzzPS, fuzzNP)
-	s, err := OpenOn(m,
-		WithCheckpoint(CheckpointConfig{SlotPages: fuzzSlots}),
-		WithCompaction(CompactionConfig{}))
-	if err != nil {
-		panic(err)
+	open := func() *Store {
+		s, err := OpenOn(m, append(fuzzOptions(seed, CheckpointConfig{}), WithCompaction(CompactionConfig{}))...)
+		if err != nil {
+			panic(err)
+		}
+		return s
 	}
+	s := open()
 	rng := xrand.New(uint64(seed)*2654435761 + 1)
 	fuzzWorkload(s, rng, int(o1)%120)
 	_ = s.Checkpoint()
+	if fuzzIndexed(seed) {
+		s = open()
+	}
 	fuzzWorkload(s, rng, int(o2)%120)
 	_ = s.Checkpoint()
 	fuzzWorkload(s, rng, int(o1+o2)%60)
@@ -113,13 +173,36 @@ func buildFuzzImage(seed, o1, o2 byte) *memBackend {
 
 // mountImage mounts a fresh store over a copy of the image. The backend
 // never fails, so neither may the mount.
-func mountImage(t testing.TB, m *memBackend, scanOnly bool) *Store {
+func mountImage(t testing.TB, m *memBackend, seed byte, scanOnly bool) *Store {
 	t.Helper()
-	s, err := OpenOn(m.clone(), WithCheckpoint(CheckpointConfig{SlotPages: fuzzSlots, ScanOnly: scanOnly}))
+	s, err := OpenOn(m.clone(), fuzzOptions(seed, CheckpointConfig{ScanOnly: scanOnly})...)
 	if err != nil {
 		t.Fatalf("mount (scanOnly=%v): %v", scanOnly, err)
 	}
 	return s
+}
+
+// compareScans asserts that an indexed store's scans agree with its own
+// host scans and with another mount's scans of the same image.
+func compareScans(t testing.TB, a, b *Store) {
+	t.Helper()
+	for _, p := range fuzzPreds {
+		ga, err := a.Scan(p)
+		if err != nil {
+			t.Fatalf("scan %s: %v", p, err)
+		}
+		ha, err := a.ScanHost(p)
+		if err != nil {
+			t.Fatalf("host scan %s: %v", p, err)
+		}
+		gb, err := b.Scan(p)
+		if err != nil {
+			t.Fatalf("scan-only mount: scan %s: %v", p, err)
+		}
+		if fmt.Sprint(ga) != fmt.Sprint(ha) || fmt.Sprint(ga) != fmt.Sprint(gb) {
+			t.Fatalf("%s: checkpointed mount %v, its host scan %v, scan-only mount %v", p, ga, ha, gb)
+		}
+	}
 }
 
 // compareMountStates asserts that two mounts of the same image agree on
@@ -211,14 +294,22 @@ func checkMountInvariants(t testing.TB, s *Store) {
 //     whatever the mount makes of the damaged checkpoint — using it, using
 //     the stale slot, or rejecting both — its final state must be *exactly*
 //     the scan-only mount's.
+//     With the scan index armed (seeds with bit 2 set) the two mounts
+//     may number slots differently, so the oracle compares what the
+//     index serves instead: Scan ≡ ScanHost ≡ the scan-only mount's Scan.
+//     A damaged slot section must lead to a rebuild, never a wrong scan.
 //  2. Damage anywhere: mount must not panic and must establish the
 //     structural invariants; when the checkpointed mount fell back to a
-//     scan, it must again match the scan-only mount exactly.
+//     scan, it must again match the scan-only mount exactly. (Damage to
+//     the bitmaps themselves is outside the index's fault model, so scans
+//     are not compared here.)
 func FuzzMountReplay(f *testing.F) {
 	f.Add(byte(1), byte(40), byte(30), []byte{})
 	f.Add(byte(2), byte(90), byte(80), []byte{0x00, 0x00, 0x00})
 	f.Add(byte(3), byte(117), byte(64), []byte{0x05, 0x01, 0xFF, 0x30, 0x02, 0x00})
 	f.Add(byte(7), byte(20), byte(0), []byte{0xFF, 0x00, 0xA5, 0x10, 0x00, 0x46})
+	f.Add(byte(12), byte(100), byte(70), []byte{})
+	f.Add(byte(13), byte(60), byte(110), []byte{0x40, 0x01, 0x00, 0x41, 0x01, 0x3C})
 	f.Fuzz(func(t *testing.T, seed, o1, o2 byte, damage []byte) {
 		base := buildFuzzImage(seed, o1, o2)
 		dataEnd := (fuzzNP - 2*fuzzSlots) * fuzzPS
@@ -230,11 +321,14 @@ func FuzzMountReplay(f *testing.F) {
 			off := (int(damage[i+1])<<8 | int(damage[i])) % ckptLen
 			img.data[dataEnd+off] = damage[i+2]
 		}
-		a := mountImage(t, img, false)
-		b := mountImage(t, img, true)
+		a := mountImage(t, img, seed, false)
+		b := mountImage(t, img, seed, true)
 		checkMountInvariants(t, a)
 		checkMountInvariants(t, b)
 		compareMountStates(t, a, b)
+		if fuzzIndexed(seed) {
+			compareScans(t, a, b)
+		}
 
 		// Oracle 2: damage anywhere in the image.
 		img = base.clone()
@@ -242,8 +336,8 @@ func FuzzMountReplay(f *testing.F) {
 			off := (int(damage[i+1])<<8 | int(damage[i])) % len(img.data)
 			img.data[off] = damage[i+2]
 		}
-		c := mountImage(t, img, false)
-		d := mountImage(t, img, true)
+		c := mountImage(t, img, seed, false)
+		d := mountImage(t, img, seed, true)
 		checkMountInvariants(t, c)
 		checkMountInvariants(t, d)
 		if c.stats.ScanMounts == 1 {

@@ -137,6 +137,7 @@ type Stats struct {
 	ScanCandidates     uint64 // candidate records fetched by indexed scans
 	ScanFalsePositives uint64 // candidates rejected by the exact re-check (stale bits)
 	ScanIndexDisabled  uint64 // times the index degraded to host scans
+	ScanIndexRebuilds  uint64 // bitmap resets at mount (scan mount, no usable slot table, stale or full)
 
 	Checkpoints        uint64 // index checkpoints committed to a slot
 	CheckpointFailures uint64 // checkpoint attempts that failed (oversize, erase/program error, torn)
@@ -185,6 +186,13 @@ type Store struct {
 	// count and garbage ratio only move meaningfully when a page opens, so
 	// the check runs once per opened page, not once per append.
 	compactDue bool
+	// replayed, while a checkpoint mount replays its tail with a live scan
+	// index, collects the last value replay saw per key (nil for a
+	// tombstone): the keys whose index bits the mount must re-add.
+	replayed map[string][]byte
+	// recBuf is readRecord's record buffer: the value is copied out of
+	// it before anything else can read a record.
+	recBuf []byte
 
 	stats Stats
 }
@@ -255,7 +263,12 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 		}
 	}
 	if img != nil && !s.ckpt.cfg.ScanOnly {
+		if s.ScanIndexed() {
+			s.replayed = make(map[string][]byte)
+		}
 		ok, err := s.applyCheckpoint(img)
+		replayed := s.replayed
+		s.replayed = nil
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +277,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 				s.nextSeq = seqFloor
 			}
 			s.stats.CheckpointMounts++
-			if err := s.rebuildScanIndex(); err != nil {
+			if err := s.mountScanIndex(img, replayed); err != nil {
 				return nil, err
 			}
 			return s, nil
@@ -278,7 +291,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 		s.nextSeq = seqFloor
 	}
 	s.stats.ScanMounts++
-	if err := s.rebuildScanIndex(); err != nil {
+	if err := s.mountScanIndex(nil, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -444,6 +457,13 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		s.index[key] = loc
 		s.pageKeys[page] = append(s.pageKeys[page], key)
 		s.pageLive[page] += size
+		if s.replayed != nil {
+			var val []byte
+			if !loc.dead {
+				val = slices.Clone(buf[off+recHeaderSize+keyLen : off+size-crcSize])
+			}
+			s.replayed[key] = val
+		}
 		off += size
 	}
 	s.pageUsed[page] = off
@@ -567,7 +587,16 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if !ok || loc.dead {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	rec := make([]byte, loc.size)
+	return s.readRecord(key, loc)
+}
+
+// readRecord is Get for a key whose live index entry the caller already
+// looked up.
+func (s *Store) readRecord(key string, loc location) ([]byte, error) {
+	if cap(s.recBuf) < loc.size {
+		s.recBuf = make([]byte, s.ps)
+	}
+	rec := s.recBuf[:loc.size]
 	if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
 		return nil, err
 	}
@@ -622,13 +651,19 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return val, nil
 }
 
-// Put stores key → val, appending a new record.
+// Put stores key → val, appending a new record. The record's scan-index
+// bits are programmed first, so the bitmaps cover it whenever it is
+// durable.
 func (s *Store) Put(key string, val []byte) error {
-	if err := s.append(key, val, 0); err != nil {
-		return err
+	if s.ScanIndexed() {
+		if _, err := s.encodedSize(key, val); err != nil {
+			return err // never index a record append would refuse
+		}
+		if err := s.noteScanPut(key, val); err != nil {
+			return err
+		}
 	}
-	s.noteScanPut(key, val)
-	return nil
+	return s.append(key, val, 0)
 }
 
 // Delete removes key by appending a tombstone. Deleting an absent or
@@ -692,14 +727,24 @@ func (s *Store) SpaceAmplification() float64 {
 // Stats returns the store's resilience counters.
 func (s *Store) Stats() Stats { return s.stats }
 
-// append encodes and writes one record, garbage collecting as needed.
-func (s *Store) append(key string, val []byte, flags byte) error {
+// encodedSize returns the encoded size of a key → val record, or the
+// error that rules the record out.
+func (s *Store) encodedSize(key string, val []byte) (int, error) {
 	if len(key) == 0 || len(key) > 255 {
-		return fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
+		return 0, fmt.Errorf("%w: %d bytes", ErrBadKey, len(key))
 	}
 	size := recHeaderSize + len(key) + len(val) + crcSize
 	if pageHeaderSize+size > s.ps {
-		return fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, size, s.ps)
+		return 0, fmt.Errorf("%w: %d bytes in a %d-byte page", ErrTooLarge, size, s.ps)
+	}
+	return size, nil
+}
+
+// append encodes and writes one record, garbage collecting as needed.
+func (s *Store) append(key string, val []byte, flags byte) error {
+	size, err := s.encodedSize(key, val)
+	if err != nil {
+		return err
 	}
 	rec := make([]byte, size)
 	rec[0] = recMagic
