@@ -1,9 +1,15 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +30,104 @@ func TestCommittedArtifacts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCommittedCampaignFingerprints reruns the published fault campaigns
+// and requires the committed BENCH_crashcampaign.json and
+// BENCH_transient.json to match the rerun: every string, flag and integer
+// column exactly — the fingerprints among them — and every float column
+// within a relative 1e-9, the slack of float summation order.
+func TestCommittedCampaignFingerprints(t *testing.T) {
+	cc, err := RunCrashCampaign(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := RunTransient(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind  string
+		write func(io.Writer) error
+	}{{"crashcampaign", cc.WriteJSON}, {"transient", tr.WriteJSON}} {
+		t.Run(c.kind, func(t *testing.T) {
+			var rerun bytes.Buffer
+			if err := c.write(&rerun); err != nil {
+				t.Fatal(err)
+			}
+			committed, err := os.ReadFile(filepath.Join("..", "..", fmt.Sprintf("BENCH_%s.json", c.kind)))
+			if err != nil {
+				t.Fatalf("artifact missing: %v", err)
+			}
+			if err := sameJSON(c.kind, decodeNumbers(t, committed), decodeNumbers(t, rerun.Bytes())); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// decodeNumbers parses a JSON document keeping numbers as written, so
+// 64-bit fingerprints compare without float rounding.
+func decodeNumbers(t *testing.T, data []byte) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// sameJSON compares a committed document with a rerun: numbers written as
+// integers must be equal, other numbers equal within a relative 1e-9, and
+// everything else deep-equal.
+func sameJSON(path string, committed, rerun any) error {
+	switch c := committed.(type) {
+	case map[string]any:
+		r, ok := rerun.(map[string]any)
+		if !ok || len(r) != len(c) {
+			return fmt.Errorf("%s: committed %v, rerun %v", path, committed, rerun)
+		}
+		for k, v := range c {
+			if err := sameJSON(path+"."+k, v, r[k]); err != nil {
+				return err
+			}
+		}
+		return nil
+	case []any:
+		r, ok := rerun.([]any)
+		if !ok || len(r) != len(c) {
+			return fmt.Errorf("%s: committed %d entries, rerun %v", path, len(c), rerun)
+		}
+		for i := range c {
+			if err := sameJSON(fmt.Sprintf("%s[%d]", path, i), c[i], r[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	case json.Number:
+		r, ok := rerun.(json.Number)
+		if !ok {
+			return fmt.Errorf("%s: committed %v, rerun %v", path, c, rerun)
+		}
+		if !strings.ContainsAny(string(c), ".eE") {
+			if c != r {
+				return fmt.Errorf("%s: committed %s, rerun %s", path, c, r)
+			}
+			return nil
+		}
+		cf, err1 := c.Float64()
+		rf, err2 := r.Float64()
+		if err1 != nil || err2 != nil || math.Abs(cf-rf) > 1e-9*math.Abs(cf) {
+			return fmt.Errorf("%s: committed %s, rerun %s (want relative difference <= 1e-9)", path, c, r)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(committed, rerun) {
+		return fmt.Errorf("%s: committed %v, rerun %v", path, committed, rerun)
+	}
+	return nil
 }
 
 func TestValidateArtifactRejects(t *testing.T) {
@@ -56,22 +160,37 @@ func TestValidateArtifactRejects(t *testing.T) {
 		{"writepath missing host_scaling", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}]}`},
-		{"writepath concurrent below 4x at 8 banks", "writepath",
+		{"writepath concurrent below half serial at 8 banks", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
 			  "host_scaling":[
-			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":3,"allocs_per_op":0,"host_speedup":3}]}`},
+			    {"mode":"serial","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":0.4,"allocs_per_op":0,"host_speedup":0.4,"events_per_op":2}]}`},
 		{"writepath host_scaling allocs regression", "writepath",
 			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
 			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
 			  "host_scaling":[
-			    {"mode":"serial-legacy","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"serial-legacy","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1},
-			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":5,"allocs_per_op":3,"host_speedup":5}]}`},
+			    {"mode":"serial","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":5,"allocs_per_op":3,"host_speedup":5,"events_per_op":2}]}`},
+		{"writepath per-byte events regression", "writepath",
+			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
+			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
+			  "host_scaling":[
+			    {"mode":"serial","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":257},
+			    {"mode":"serial","banks":16,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2}]}`},
+		{"writepath missing serial baseline", "writepath",
+			`{"banks":4,"rows":[{"workers":1,"ops":10,"device_ops_per_sec":1,"speedup_vs_1_worker":1},
+			                    {"workers":4,"ops":10,"device_ops_per_sec":3,"speedup_vs_1_worker":3}],
+			  "host_scaling":[
+			    {"mode":"serial","banks":4,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"serial","banks":8,"workers":1,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2},
+			    {"mode":"concurrent","banks":8,"workers":8,"ops":10,"ns_per_op":1,"ops_per_sec":1,"allocs_per_op":0,"host_speedup":1,"events_per_op":2}]}`},
 		{"encode below 3x on nbit", "encode",
 			`{"seed":1,"span_bytes":4096,"e2e_ops":100,"e2e_scalar_ns_per_op":200,"e2e_kernel_ns_per_op":100,
 			  "e2e_speedup":2,"stats_match":true,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/flipbit-sim/flipbit/internal/core"
@@ -32,15 +33,15 @@ type WritePathRow struct {
 }
 
 // HostScalingRow is one measured configuration of the host-throughput
-// section: a drive mode (pipeline generation) at a bank count. host_speedup
-// is relative to the serial-legacy row of the same bank count — the
-// pre-sharding write path with per-byte op events, which is what this
-// codebase shipped before the event bus was sharded. On a single-CPU host
-// the speedup therefore measures the pipeline restructuring itself (event
-// batching, batch-kernel encoding), not parallel hardware; with more CPUs
-// the concurrent mode additionally scales across banks.
+// section: a drive mode at a bank count. host_speedup is relative to the
+// serial row of the same bank count: how far concurrent Write scales
+// across banks on the host's CPUs. events_per_op counts the op events one
+// commit emits, on an
+// untimed replay of the same plan with a counting observer attached: a
+// page program that fell off the batched event path would show here as
+// one event per byte.
 type HostScalingRow struct {
-	Mode            string  `json:"mode"` // serial-legacy | serial | concurrent
+	Mode            string  `json:"mode"` // serial | concurrent
 	Banks           int     `json:"banks"`
 	Workers         int     `json:"workers"`
 	Ops             int     `json:"ops"`
@@ -48,6 +49,7 @@ type HostScalingRow struct {
 	OpsPerSec       float64 `json:"ops_per_sec"`
 	AllocsPerOp     float64 `json:"allocs_per_op"`
 	HostSpeedup     float64 `json:"host_speedup"`
+	EventsPerOp     float64 `json:"events_per_op"`
 	DeviceMillis    float64 `json:"device_ms"`
 	DeviceOpsPerSec float64 `json:"device_ops_per_sec"`
 }
@@ -233,16 +235,10 @@ func RunWritePath(cfg Config) (*WritePathReport, error) {
 	plan := newWritePathPlan(spec, spec.Banks, totalOps)
 	warm := newWritePathPlan(spec, spec.Banks, 256*spec.Banks)
 	for _, workers := range writePathWorkers {
-		dev, err := core.NewDevice(spec)
+		elapsed, allocs, device, err := plan.runFresh(warm, rep.Threshold, workers, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := dev.SetApproxRegion(0, spec.Size()); err != nil {
-			return nil, err
-		}
-		dev.SetThreshold(rep.Threshold)
-		warm.run(dev, workers) // prime the buffer pool outside the timed region
-		elapsed, allocs, device := plan.run(dev, workers)
 		ops := (totalOps / spec.Banks) * spec.Banks
 		rep.Rows = append(rep.Rows, WritePathRow{
 			Workers:         workers,
@@ -260,58 +256,56 @@ func RunWritePath(cfg Config) (*WritePathReport, error) {
 		rep.Rows[i].HostSpeedup = rep.Rows[i].OpsPerSec / hostBase
 		rep.Rows[i].Speedup = rep.Rows[i].DeviceOpsPerSec / devBase
 	}
-	if err := runHostScaling(cfg, rep); err != nil {
+	if err := runHostScaling(cfg, rep, totalOps); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// runHostScaling measures the host-throughput section: the per-byte event
-// path, the sharded serial path and concurrent Write (one worker per bank)
-// at bank counts 4, 8 and 16, each at GOMAXPROCS = NumCPU. The serial-legacy
-// row of each bank count is the baseline its host_speedup column divides
-// by.
-func runHostScaling(cfg Config, rep *WritePathReport) error {
-	totalOps := 40960
-	if cfg.Quick {
-		totalOps = 8192
+// runFresh runs the plan on a fresh, fully approximate device after warm
+// has primed its buffer pool outside the measured region. A non-nil obs is
+// attached after priming, so it sees exactly the plan's events.
+func (pl writePathPlan) runFresh(warm writePathPlan, threshold float64, workers int, obs flash.Observer) (elapsed time.Duration, allocs uint64, device time.Duration, err error) {
+	dev, err := core.NewDevice(pl.spec)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	modes := []struct {
-		mode    string
-		fanout  bool // workers = banks (otherwise 1)
-		perByte bool
-	}{
-		{"serial-legacy", false, true},
-		{"serial", false, false},
-		{"concurrent", true, false},
+	if err := dev.SetApproxRegion(0, pl.spec.Size()); err != nil {
+		return 0, 0, 0, err
 	}
+	dev.SetThreshold(threshold)
+	warm.run(dev, workers)
+	if obs != nil {
+		dev.Flash().Attach(obs)
+	}
+	elapsed, allocs, device = pl.run(dev, workers)
+	return elapsed, allocs, device, nil
+}
+
+// runHostScaling measures the host-throughput section: serial Write and
+// concurrent Write (one worker per bank) at bank counts 4, 8 and 16, each
+// at GOMAXPROCS = NumCPU. The serial row of each bank count is the
+// baseline its host_speedup column divides by.
+func runHostScaling(cfg Config, rep *WritePathReport, totalOps int) error {
 	for _, banks := range []int{4, 8, 16} {
 		spec := cfg.applyCell(writePathSpec())
 		spec.Banks = banks
 		plan := newWritePathPlan(spec, banks, totalOps)
 		warm := newWritePathPlan(spec, banks, 256*banks)
 		var base float64
-		for _, m := range modes {
-			dev, err := core.NewDevice(spec)
+		for _, m := range []struct {
+			mode    string
+			workers int
+		}{{"serial", 1}, {"concurrent", banks}} {
+			elapsed, allocs, device, err := plan.runFresh(warm, rep.Threshold, m.workers, nil)
 			if err != nil {
 				return err
 			}
-			if err := dev.SetApproxRegion(0, spec.Size()); err != nil {
-				return err
-			}
-			dev.SetThreshold(rep.Threshold)
-			dev.Flash().SetPerByteEvents(m.perByte)
-			workers := 1
-			if m.fanout {
-				workers = banks
-			}
-			warm.run(dev, workers)
-			elapsed, allocs, device := plan.run(dev, workers)
 			ops := (totalOps / banks) * banks
 			row := HostScalingRow{
 				Mode:            m.mode,
 				Banks:           banks,
-				Workers:         workers,
+				Workers:         m.workers,
 				Ops:             ops,
 				NsPerOp:         float64(elapsed.Nanoseconds()) / float64(ops),
 				OpsPerSec:       float64(ops) / elapsed.Seconds(),
@@ -319,10 +313,17 @@ func runHostScaling(cfg Config, rep *WritePathReport) error {
 				DeviceMillis:    float64(device.Nanoseconds()) / 1e6,
 				DeviceOpsPerSec: float64(ops) / device.Seconds(),
 			}
-			if m.mode == "serial-legacy" {
+			if m.workers == 1 {
 				base = row.OpsPerSec
 			}
 			row.HostSpeedup = row.OpsPerSec / base
+
+			var events atomic.Uint64
+			count := flash.ObserverFunc(func(flash.OpEvent) { events.Add(1) })
+			if _, _, _, err := plan.runFresh(warm, rep.Threshold, m.workers, count); err != nil {
+				return err
+			}
+			row.EventsPerOp = float64(events.Load()) / float64(ops)
 			rep.HostScaling = append(rep.HostScaling, row)
 		}
 	}
@@ -360,8 +361,8 @@ func ExpWritePath(cfg Config) (*Table, error) {
 		"8 workers saturate: two workers share each bank's serial execution unit")
 	for _, r := range rep.HostScaling {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"host_scaling %-13s banks=%-2d workers=%-2d  %8.0f ops/s  %.2f allocs/op  %.2fx vs serial-legacy",
-			r.Mode, r.Banks, r.Workers, r.OpsPerSec, r.AllocsPerOp, r.HostSpeedup))
+			"host_scaling %-10s banks=%-2d workers=%-2d  %8.0f ops/s  %.2f allocs/op  %.2f events/op  %.2fx vs serial",
+			r.Mode, r.Banks, r.Workers, r.OpsPerSec, r.AllocsPerOp, r.EventsPerOp, r.HostSpeedup))
 	}
 	return t, nil
 }

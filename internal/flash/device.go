@@ -133,6 +133,10 @@ type bank struct {
 // different banks run in parallel, operations within one bank serialize on
 // the bank's lock. Attach/Detach, SetTracer and SetProgramAll configure the
 // device and must not race in-flight operations.
+//
+// Every page program — ProgramPage and EraseProgramPage alike — commits
+// through one word-wise path. Armed fault countdowns and SetProgramAll
+// change what that path charges and where it stops, never which path runs.
 type Device struct {
 	spec    Spec
 	array   []byte
@@ -148,14 +152,6 @@ type Device struct {
 	// those pulses; the flag exists for the skip-unchanged ablation.
 	programAll bool
 
-	// perByteEvents forces page programs back onto the per-byte event
-	// path (one OpEvent per byte) instead of the batched page-program
-	// events. Fault-armed devices take the per-byte path automatically —
-	// fault countdowns observe individual pulses — so the flag exists for
-	// observers that depend on byte granularity and as the measured
-	// baseline of the host-scaling experiment.
-	perByteEvents bool
-
 	// atts records Attach calls so Detach can unhook the per-bank
 	// delivery handles (observer.go).
 	atts []attachment
@@ -167,22 +163,14 @@ type Device struct {
 	// Fault injection (faults.go): ftMu guards the shared scope and the
 	// per-bank scopes against concurrent arming and firing. Operations
 	// check their bank's liveness flag (bank.faultsLive) so fault-free
-	// banks skip ftMu entirely — taking a device-wide mutex per byte was
-	// the scaling bottleneck of the per-byte event path.
+	// banks skip ftMu entirely — a page program on a live bank takes it
+	// once per charged byte, which would serialize every bank.
 	ftMu   sync.Mutex
 	faults faultScope
 }
 
 // SetProgramAll toggles charging program pulses for unchanged bytes.
 func (d *Device) SetProgramAll(v bool) { d.programAll = v }
-
-// SetPerByteEvents toggles per-byte event granularity for page programs.
-// When off (the default), a fault-free page program emits one batched
-// OpProgram event (with Data/Prev carrying the page images) and one batched
-// OpProgramSkip event instead of one event per byte; totals are identical,
-// only granularity changes. Must not be toggled concurrently with
-// operations.
-func (d *Device) SetPerByteEvents(v bool) { d.perByteEvents = v }
 
 // NewDevice builds a device from spec with every page erased (all ones),
 // which is how flash leaves the factory. A spec with Banks == 0 gets
@@ -454,29 +442,7 @@ func (d *Device) programByteLocked(b, addr int, v byte) error {
 		return nil
 	}
 	if f, fired := d.faultHit(b, OpProgram); fired {
-		switch f.Kind {
-		case FaultPowerLoss:
-			// The pulse was cut short: some target bits cleared, the
-			// rest did not. Energy/latency for the partial pulse is
-			// still drawn from the supply.
-			d.tearProgram(b, addr, v)
-			d.emit(OpEvent{
-				Kind: OpProgram, Bank: b, Addr: addr, Bytes: 1, Value: d.array[addr],
-				Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-			})
-			return fmt.Errorf("program %#x: %w", addr, ErrPowerLoss)
-		case FaultTransientProgram:
-			// Verify failure: the pulse ran at full cost but left some
-			// target bits short of their level. Every bit that did move
-			// moved toward v, so the byte stays reachable and a re-issue
-			// can finish the job.
-			d.tearProgram(b, addr, v)
-			d.emit(OpEvent{
-				Kind: OpProgramFail, Bank: b, Addr: addr, Bytes: 1, Value: d.array[addr],
-				Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
-			})
-			return fmt.Errorf("program %#x: %w", addr, ErrTransient)
-		}
+		return d.faultProgramLocked(b, addr, v, f)
 	}
 	d.array[addr] = v
 	d.absorbDrift(page, addr-d.PageBase(page), v)
@@ -486,6 +452,24 @@ func (d *Device) programByteLocked(b, addr int, v byte) error {
 		Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
 	})
 	return nil
+}
+
+// faultProgramLocked applies a fired program fault to the pulse that would
+// have stored v at addr: the pulse's full cost is drawn and only some
+// target bits clear. Power loss reports ErrPowerLoss; a transient verify
+// failure reports ErrTransient — every bit moved toward v, so a re-issue
+// can finish the job. Called with bank b's lock held.
+func (d *Device) faultProgramLocked(b, addr int, v byte, f Fault) error {
+	d.tearProgram(b, addr, v)
+	kind, err := OpProgram, ErrPowerLoss
+	if f.Kind == FaultTransientProgram {
+		kind, err = OpProgramFail, ErrTransient
+	}
+	d.emit(OpEvent{
+		Kind: kind, Bank: b, Addr: addr, Bytes: 1, Value: d.array[addr],
+		Energy: d.spec.ProgramEnergy, Busy: d.spec.ProgramLatency,
+	})
+	return fmt.Errorf("program %#x: %w", addr, err)
 }
 
 // ErasePage erases page p: every bit is set to 1 and the page's wear count
@@ -643,35 +627,37 @@ func (d *Device) programPageLocked(b, p int, buf []byte) error {
 			}
 		}
 	}
-	if d.programAll || d.perByteEvents || d.banks[b].faultsLive.Load() {
-		// Per-byte path: armed fault countdowns observe individual
-		// program pulses, and the ablation/compat modes want per-byte
-		// granularity. Counters and busy time match the bulk path
-		// exactly; energy is the same sum but accumulated one pulse at a
-		// time, so it can differ from the bulk N×E in the last ULPs. The
-		// dispatch therefore reads only this bank's liveness flag: a
-		// fault armed on another bank must not change how this bank's
-		// energy is summed.
+	// A live fault scope observes every charged pulse in address order,
+	// exactly as a byte-by-byte program would issue them: the bytes before
+	// the first one that trips a fault commit normally, the victim byte
+	// takes the fault, and the bytes after it are never reached.
+	end, f, fired := len(buf), Fault{}, false
+	if d.banks[b].faultsLive.Load() {
+		page := d.array[base : base+d.spec.PageSize]
 		for i, v := range buf {
-			if err := d.programByteLocked(b, base+i, v); err != nil {
-				return err
+			if v == page[i] && !d.programAll {
+				continue // skipped bytes draw no pulse and advance no countdown
+			}
+			if f, fired = d.faultHit(b, OpProgram); fired {
+				end = i
+				break
 			}
 		}
-		return nil
 	}
-	return d.programPageBulkLocked(b, p, buf)
+	d.programSpanLocked(b, p, buf[:end])
+	if fired {
+		return d.faultProgramLocked(b, base+end, buf[end], f)
+	}
+	return nil
 }
 
-// programPageBulkLocked commits a whole reachable page in one pass and
-// emits at most two batched events (one OpProgram for the changed bytes,
-// one OpProgramSkip for the unchanged ones) instead of one event per byte.
-// Busy time and the byte counters are identical to the per-byte path and
-// energy is the same sum (rounded once rather than per byte); only event
-// granularity differs. The page is compared, written and its drift and
-// rise masks updated eight bytes per step, with a byte loop for the tail of
-// page sizes that are not a multiple of eight. Called with bank b's lock
-// held, after the reachability pre-pass, with no faults armed.
-func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
+// programSpanLocked commits buf to the first len(buf) bytes of page p,
+// eight bytes per step with a byte loop for the tail, and emits at most one
+// batched OpProgram for the charged bytes (those whose value changes, or
+// all under programAll) and one OpProgramSkip for the rest. Counters and
+// busy time equal one ProgramByte per byte; energy is the same sum rounded
+// once. Called with bank b's lock held, after the reachability pre-pass.
+func (d *Device) programSpanLocked(b, p int, buf []byte) {
 	base := d.PageBase(p)
 	bk := &d.banks[b]
 	page := d.array[base : base+d.spec.PageSize]
@@ -716,6 +702,12 @@ func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 			m[i] &= v
 		}
 	}
+	if d.programAll {
+		programmed = len(buf)
+		if rm != nil {
+			clear(rm[:len(buf)])
+		}
+	}
 	if programmed > 0 {
 		d.emit(OpEvent{
 			Kind: OpProgram, Bank: b, Addr: base, Bytes: programmed,
@@ -727,7 +719,6 @@ func (d *Device) programPageBulkLocked(b, p int, buf []byte) error {
 	if skipped := len(buf) - programmed; skipped > 0 {
 		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: base, Bytes: skipped})
 	}
-	return nil
 }
 
 // nonzeroBytes maps each nonzero byte of x to 0x01 and each zero byte to

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -45,6 +46,12 @@ func (s *bankEventShard) OnOp(ev OpEvent) {
 // eventWorkload drives a deterministic mix of page programs, byte programs
 // and erases against the pages of one bank.
 func eventWorkload(d *Device, bank, rounds int, seed uint64) {
+	eventWorkloadWith(d, bank, rounds, seed, (*Device).ProgramPage)
+}
+
+// eventWorkloadWith is eventWorkload with the page programs issued through
+// program.
+func eventWorkloadWith(d *Device, bank, rounds int, seed uint64, program func(*Device, int, []byte) error) {
 	spec := d.Spec()
 	rng := xrand.New(seed)
 	var pages []int
@@ -65,9 +72,27 @@ func eventWorkload(d *Device, bank, rounds int, seed uint64) {
 			for i := range buf {
 				buf[i] = rng.Byte()
 			}
-			_ = d.ProgramPage(p, buf)
+			_ = program(d, p, buf)
 		}
 	}
+}
+
+// programPageByBytes is the byte oracle of a page program: the page
+// program's all-or-nothing reachability check, then one ProgramByte per
+// byte in address order, stopping at the first error.
+func programPageByBytes(d *Device, p int, buf []byte) error {
+	base := d.PageBase(p)
+	for i, v := range buf {
+		if !d.spec.Cell.Reachable(d.array[base+i], v) {
+			return fmt.Errorf("%w: page %d byte %d", ErrNeedsErase, p, i)
+		}
+	}
+	for i, v := range buf {
+		if err := d.ProgramByte(base+i, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestPerBankEventStreamsTotallyOrdered is the op-event bus ordering
@@ -113,30 +138,29 @@ func TestPerBankEventStreamsTotallyOrdered(t *testing.T) {
 
 // TestBatchedEventsMatchPerByteTotals: the batched page-program events
 // (one OpProgram + one OpProgramSkip per page) must account for exactly
-// the same work as the legacy per-byte event stream — identical merged
-// stats including energy and busy time, and an identical trace.
+// the same work as one ProgramByte per byte — identical merged stats
+// including energy and busy time, and an identical trace.
 func TestBatchedEventsMatchPerByteTotals(t *testing.T) {
-	run := func(perByte bool) (Stats, []TraceEntry) {
+	run := func(program func(*Device, int, []byte) error) (Stats, []TraceEntry) {
 		d, err := NewDevice(DefaultSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetPerByteEvents(perByte)
 		tr := NewTrace(0)
 		d.SetTracer(tr)
 		for b := 0; b < d.Banks(); b++ {
-			eventWorkload(d, b, 150, 0xB0+uint64(b))
+			eventWorkloadWith(d, b, 150, 0xB0+uint64(b), program)
 		}
 		return d.Stats(), tr.Entries()
 	}
-	batchedStats, batchedTrace := run(false)
-	perByteStats, perByteTrace := run(true)
+	batchedStats, batchedTrace := run((*Device).ProgramPage)
+	perByteStats, perByteTrace := run(programPageByBytes)
 	// Counts and (integer) busy time must be exact. Energy is compared
 	// within epsilon: a batched event carries n·E (one multiply) where the
 	// per-byte stream sums E n times, and those differ in the last float
-	// bits. Byte-identical energy is only guaranteed within one event mode
-	// (see TestCrossBankTraceMergeDeterministic and the core equivalence
-	// property), not across modes.
+	// bits. Byte-identical energy is only guaranteed for the same
+	// operation sequence (see TestCrossBankTraceMergeDeterministic and the
+	// core equivalence property), not across page and byte programs.
 	be, pe := batchedStats.Energy, perByteStats.Energy
 	batchedStats.Energy, perByteStats.Energy = 0, 0
 	if batchedStats != perByteStats {
@@ -152,6 +176,39 @@ func TestBatchedEventsMatchPerByteTotals(t *testing.T) {
 		if batchedTrace[i] != perByteTrace[i] {
 			t.Fatalf("trace entry %d differs: batched %+v, per-byte %+v", i, batchedTrace[i], perByteTrace[i])
 		}
+	}
+}
+
+// TestUnfiredFaultLeavesStatsUnchanged: arming a fault that never fires —
+// on every bank, or in the shared scope — must not change what the same
+// traffic costs. Stats are compared as whole structs, energy included: a
+// live fault scope changes where a page program may stop, not how the
+// charged pulses are summed.
+func TestUnfiredFaultLeavesStatsUnchanged(t *testing.T) {
+	never := Fault{Kind: FaultPowerLoss, After: 1 << 30}
+	run := func(arm func(*Device)) Stats {
+		d := MustNewDevice(DefaultSpec())
+		arm(d)
+		for b := 0; b < d.Banks(); b++ {
+			eventWorkload(d, b, 150, 0xF0+uint64(b))
+		}
+		if n := d.FaultsFired(); n != 0 {
+			t.Fatalf("%d faults fired", n)
+		}
+		return d.Stats()
+	}
+	unarmed := run(func(*Device) {})
+	perBank := run(func(d *Device) {
+		for b := 0; b < d.Banks(); b++ {
+			d.ArmBankFault(b, never)
+		}
+	})
+	shared := run(func(d *Device) { d.ArmFault(never) })
+	if perBank != unarmed {
+		t.Errorf("bank-armed stats differ\narmed   %+v\nunarmed %+v", perBank, unarmed)
+	}
+	if shared != unarmed {
+		t.Errorf("shared-armed stats differ\narmed   %+v\nunarmed %+v", shared, unarmed)
 	}
 }
 

@@ -83,7 +83,8 @@ type OpEvent struct {
 	// operation, however many pages participated.
 	Pages int
 
-	// Value is the programmed value (per-byte OpProgram only).
+	// Value is the byte's value after a single-byte program: a ProgramByte
+	// pulse, or the faulted byte of a page program.
 	Value byte
 
 	// Data and Prev are set on batched page-program events only: Data is

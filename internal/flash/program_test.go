@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -183,5 +184,184 @@ func TestProgramPageWordwiseMatchesPerByte(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// faultSweep returns the pulse indices a fault is armed to fire at for a
+// page program that charges n pulses: every index in 0..n (n itself never
+// fires) up to 512 pulses, and above that the first and last 32 plus every
+// 61st in between, a stride that walks every offset within a word. Under
+// the race detector every sweep keeps only the first and last 8 and every
+// 509th: the test runs on one goroutine, and every index takes the same
+// code path.
+func faultSweep(n int) []int {
+	dense, edge, stride := 512, 32, 61
+	if raceEnabled {
+		dense, edge, stride = 0, 8, 509
+	}
+	var ks []int
+	for k := 0; k <= n; k++ {
+		if n <= dense || k < edge || k > n-edge || k%stride == 0 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// errKind names the sentinel an error wraps, for comparing errors whose
+// messages legitimately differ.
+func errKind(err error) error {
+	for _, k := range []error{ErrPowerLoss, ErrTransient, ErrNeedsErase} {
+		if errors.Is(err, k) {
+			return k
+		}
+	}
+	return err
+}
+
+// TestFaultedProgramMatchesByteOracle: a page program on a fault-armed
+// device must leave what one ProgramByte per byte leaves. A power-loss or
+// transient-program fault (with 1-3 retries) is armed, in bank scope and
+// in the shared scope, to fire at each pulse index of the program; the
+// program is then re-issued until it succeeds, draining any transient
+// residue. After every issue the two devices must agree on the array, the
+// drift and rise masks, every Stats counter and the busy time, the
+// FaultsFired count and the error kind, with energy equal within 1e-9.
+// Runs with and without programAll and with and without an attached trace,
+// over previous contents that leave some bytes unchanged and under live
+// drift and rise masks. With programAll off the traces must agree too;
+// with it on the page program's trace lists only the bytes whose value
+// changed, since the batched event carries page images, not pulses.
+func TestFaultedProgramMatchesByteOracle(t *testing.T) {
+	faults := []Fault{
+		{Kind: FaultPowerLoss},
+		{Kind: FaultTransientProgram, Retries: 1},
+		{Kind: FaultTransientProgram, Retries: 2},
+		{Kind: FaultTransientProgram, Retries: 3},
+	}
+	for _, cell := range []CellMode{SLC, MLC, TLC} {
+		for _, ps := range []int{100, 256, 4096} {
+			for _, programAll := range []bool{false, true} {
+				for _, observed := range []bool{false, true} {
+					name := fmt.Sprintf("%v/ps=%d/programAll=%v/observed=%v", cell, ps, programAll, observed)
+					t.Run(name, func(t *testing.T) {
+						testFaultedProgram(t, cell, ps, programAll, observed, faults)
+					})
+				}
+			}
+		}
+	}
+}
+
+func testFaultedProgram(t *testing.T, cell CellMode, ps int, programAll, observed bool, faults []Fault) {
+	spec := DensitySpec(DefaultSpec(), cell)
+	spec.PageSize, spec.NumPages, spec.Banks = ps, 4, 2
+	const p = 1
+	rng := xrand.New(0xFA17 + uint64(ps) + uint64(cell)<<20)
+	// Previous contents, the masks' bits, and a reachable target that
+	// changes a third of a small page's bytes but only one in 64 of a
+	// large one, so the sweep still covers every pulse when only the
+	// changed bytes are charged.
+	prior := make([]byte, ps)
+	for i := range prior {
+		prior[i] = rng.Byte()
+	}
+	changeEvery := 3
+	if ps > 512 {
+		changeEvery = 64
+	}
+	buf := slices.Clone(prior)
+	charged := 0
+	for i := range buf {
+		if rng.Intn(changeEvery) == 0 {
+			buf[i] = reachableTarget(cell, prior[i], rng)
+		}
+		if programAll || buf[i] != prior[i] {
+			charged++
+		}
+	}
+	type bit struct {
+		off  int
+		mask byte
+	}
+	var drift, rise []bit
+	for n := ps / 4; n > 0; n-- {
+		drift = append(drift, bit{rng.Intn(ps), byte(1) << uint(rng.Intn(8))})
+		rise = append(rise, bit{rng.Intn(ps), byte(1) << uint(rng.Intn(8))})
+	}
+	setup := func() (*Device, *Trace) {
+		d := MustNewDevice(spec)
+		if err := d.ProgramPage(p, prior); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range drift {
+			d.recordDrift(p, b.off, b.mask)
+		}
+		for _, b := range rise {
+			d.recordRise(p, b.off, b.mask)
+		}
+		d.SetProgramAll(programAll)
+		var tr *Trace
+		if observed {
+			tr = NewTrace(0)
+			d.SetTracer(tr)
+		}
+		return d, tr
+	}
+	fires := 0
+	for _, f := range faults {
+		for _, shared := range []bool{false, true} {
+			for _, k := range faultSweep(charged) {
+				got, gotTrace := setup()
+				want, wantTrace := setup()
+				f.After = k
+				for _, d := range []*Device{got, want} {
+					if shared {
+						d.ArmFault(f)
+					} else {
+						d.ArmBankFault(d.BankOf(p), f)
+					}
+				}
+				where := fmt.Sprintf("%v retries=%d shared=%v at pulse %d", f.Kind, f.Retries, shared, k)
+				for issue := 0; ; issue++ {
+					gerr := got.ProgramPage(p, buf)
+					werr := programPageByBytes(want, p, buf)
+					at := fmt.Sprintf("%s, issue %d", where, issue)
+					if errKind(gerr) != errKind(werr) {
+						t.Fatalf("%s: error %v, byte oracle %v", at, gerr, werr)
+					}
+					if !bytes.Equal(got.array, want.array) {
+						t.Fatalf("%s: arrays differ", at)
+					}
+					if !slices.Equal(got.drift[p], want.drift[p]) || !slices.Equal(got.rise[p], want.rise[p]) {
+						t.Fatalf("%s: drift or rise masks differ", at)
+					}
+					gs, ws := got.Stats(), want.Stats()
+					if diff := float64(gs.Energy - ws.Energy); diff > 1e-9 || diff < -1e-9 {
+						t.Fatalf("%s: energy %v, byte oracle %v", at, gs.Energy, ws.Energy)
+					}
+					gs.Energy, ws.Energy = 0, 0
+					if gs != ws {
+						t.Fatalf("%s: stats\npage program %+v\nbyte oracle  %+v", at, gs, ws)
+					}
+					if g, w := got.FaultsFired(), want.FaultsFired(); g != w {
+						t.Fatalf("%s: %d faults fired, byte oracle %d", at, g, w)
+					}
+					if observed && !programAll && !slices.Equal(gotTrace.Entries(), wantTrace.Entries()) {
+						t.Fatalf("%s: traces differ", at)
+					}
+					if k := errKind(werr); k != ErrPowerLoss && k != ErrTransient {
+						break
+					}
+					fires++
+					if issue > f.retries() {
+						t.Fatalf("%s: still failing", at)
+					}
+				}
+			}
+		}
+	}
+	if fires == 0 {
+		t.Error("no fault fired")
 	}
 }
