@@ -656,13 +656,16 @@ func (d *Device) ErasePage(p int) error {
 }
 
 // load reads the page into the previous buffer and mirrors it into the
-// exact and approx buffers.
+// exact buffer, and into the approx buffer on approximatable pages — the
+// only ones whose encode stage reads it.
 func (s *session) load() error {
 	if err := s.d.fl.ReadPage(s.page, s.bufs.previous); err != nil {
 		return err
 	}
 	copy(s.bufs.exact, s.bufs.previous)
-	copy(s.bufs.approx, s.bufs.previous)
+	if s.d.Approximatable(s.page) {
+		copy(s.bufs.approx, s.bufs.previous)
+	}
 	return nil
 }
 
@@ -843,11 +846,14 @@ func (s *session) needsErase() bool {
 
 // programExact writes the exact buffer to the page, erasing only if some
 // bit needs a 0→1 transition. This is the conventional (non-FlipBit) write
-// path and the fair baseline for every experiment.
+// path and the fair baseline for every experiment. The erase-free program
+// is handed the dirty span, so a small record costs host work in
+// proportion to its length; the flash device checks the rest of the page
+// still matches the buffer.
 func (s *session) programExact() error {
 	fl := s.d.fl
 	if !s.needsErase() {
-		return fl.ProgramPage(s.page, s.bufs.exact)
+		return fl.ProgramPageSpan(s.page, s.bufs.exact, s.off, s.off+len(s.data))
 	}
 	return fl.EraseProgramPage(s.page, s.bufs.exact)
 }

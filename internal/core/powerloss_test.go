@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/flipbit-sim/flipbit/internal/flash"
@@ -80,5 +82,74 @@ func TestTornCommitMidMultiPageWrite(t *testing.T) {
 		if got[i] != data[i] {
 			t.Fatalf("page 0 byte %d not committed before the fault", i)
 		}
+	}
+}
+
+// TestReadDisturbOnLoadMatchesWholePageProgram: a read disturb that fires
+// on a Write's load clears cells after the load has served the page, so the
+// exact buffer still holds them at 1. The erase-free program of the dirty
+// span must not trust the bytes outside it: the commit fails with the
+// ErrNeedsErase, and leaves the Stats, that a whole-page program of the
+// same buffer gives — replayed here on a bare flash device with the same
+// operations and fault.
+func TestReadDisturbOnLoadMatchesWholePageProgram(t *testing.T) {
+	spec := flash.DefaultSpec()
+	spec.PageSize, spec.NumPages, spec.Banks = 256, 4, 1
+	const page, off = 2, 100
+	fault := flash.Fault{Kind: flash.FaultReadDisturb, Bits: 24}
+	outside := 0
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := xrand.New(seed)
+		prior := make([]byte, spec.PageSize)
+		for i := range prior {
+			prior[i] = rng.Byte()
+		}
+		// A record-sized store that only clears bits: erase-free.
+		data := make([]byte, 8)
+		for i := range data {
+			data[i] = prior[off+i] & rng.Byte()
+		}
+
+		d := MustNewDevice(spec)
+		if err := d.Write(spec.PageSize*page, prior); err != nil {
+			t.Fatal(err)
+		}
+		d.Flash().ArmBankFault(d.Flash().BankOf(page), fault)
+		err := d.Write(spec.PageSize*page+off, data)
+
+		// The same traffic as whole-page flash operations.
+		fl := flash.MustNewDevice(spec)
+		buf := make([]byte, spec.PageSize)
+		if err := fl.ReadPage(page, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.ProgramPage(page, prior); err != nil {
+			t.Fatal(err)
+		}
+		fl.ArmBankFault(fl.BankOf(page), fault)
+		if err := fl.ReadPage(page, buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf[off:], data)
+		want := fl.ProgramPage(page, buf)
+
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: Write error %v, whole-page program %v", seed, err, want)
+		}
+		if g, w := d.Flash().Stats(), fl.Stats(); g != w {
+			t.Fatalf("seed %d: stats\nWrite      %+v\nwhole page %+v", seed, g, w)
+		}
+		got, wantPage := make([]byte, spec.PageSize), make([]byte, spec.PageSize)
+		d.Flash().PeekPage(page, got)
+		fl.PeekPage(page, wantPage)
+		if !bytes.Equal(got, wantPage) {
+			t.Fatalf("seed %d: pages differ", seed)
+		}
+		if errors.Is(want, flash.ErrNeedsErase) {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Error("no seed disturbed a cell outside the span")
 	}
 }

@@ -292,3 +292,58 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	close(stop)
 	readers.Wait()
 }
+
+// TestWearReadsConcurrentWithErases: Wear takes no lock, so readers on other
+// goroutines see each page's erase count only grow while erasers on every
+// bank bump it, and see the exact count once the erasers are done.
+func TestWearReadsConcurrentWithErases(t *testing.T) {
+	spec := concurrencySpec()
+	d := MustNewDevice(spec)
+	const perPage = 40
+	var erasers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := make([]uint32, spec.NumPages)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for p := range last {
+					w := d.Wear(p)
+					if w < last[p] {
+						t.Errorf("page %d wear went back from %d to %d", p, last[p], w)
+						return
+					}
+					last[p] = w
+				}
+			}
+		}()
+	}
+	for b := 0; b < spec.Banks; b++ {
+		erasers.Add(1)
+		go func(b int) {
+			defer erasers.Done()
+			for i := 0; i < perPage; i++ {
+				for p := b; p < spec.NumPages; p += spec.Banks {
+					if err := d.ErasePage(p); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(b)
+	}
+	erasers.Wait()
+	close(stop)
+	readers.Wait()
+	for p := 0; p < spec.NumPages; p++ {
+		if w := d.Wear(p); w != perPage {
+			t.Errorf("page %d wear %d, want %d", p, w, perPage)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,13 +135,13 @@ type bank struct {
 // the bank's lock. Attach/Detach, SetTracer and SetProgramAll configure the
 // device and must not race in-flight operations.
 //
-// Every page program — ProgramPage and EraseProgramPage alike — commits
+// Every page program — ProgramPage, ProgramPageSpan and EraseProgramPage — commits
 // through one word-wise path. Armed fault countdowns and SetProgramAll
 // change what that path charges and where it stops, never which path runs.
 type Device struct {
 	spec    Spec
 	array   []byte
-	wear    []uint32 // per-page erase count (guarded by the page's bank lock)
+	wear    []uint32 // per-page erase count (written atomically under the page's bank lock; Wear reads it lock-free)
 	dead    []bool   // per-page worn-out flag (guarded by the page's bank lock)
 	retired []bool   // per-page retirement flag (guarded by the page's bank lock)
 	drift   [][]byte // per-page fault-flip masks, nil until first flip (health.go)
@@ -498,7 +499,7 @@ func (d *Device) erasePageLocked(b, p int) error {
 	f, fired := d.faultHit(b, OpErase)
 	if fired && f.Kind == FaultPowerLoss {
 		d.tearErase(b, p)
-		d.wear[p]++ // the tunnel-oxide stress happened regardless
+		atomic.AddUint32(&d.wear[p], 1) // the tunnel-oxide stress happened regardless
 		d.emit(OpEvent{
 			Kind: OpErase, Bank: b, Addr: p, Bytes: d.spec.PageSize,
 			Energy: d.spec.EraseEnergy, Busy: d.spec.EraseLatency,
@@ -510,7 +511,7 @@ func (d *Device) erasePageLocked(b, p int) error {
 		// left a mixture of erased and stale bytes — re-issuing the erase
 		// can reach the fully erased state.
 		d.tearErase(b, p)
-		d.wear[p]++
+		atomic.AddUint32(&d.wear[p], 1)
 		d.emit(OpEvent{
 			Kind: OpEraseFail, Bank: b, Addr: p, Bytes: d.spec.PageSize,
 			Energy: d.spec.EraseEnergy, Busy: d.spec.EraseLatency,
@@ -520,7 +521,7 @@ func (d *Device) erasePageLocked(b, p int) error {
 	for i := 0; i < d.spec.PageSize; i++ {
 		d.array[base+i] = 0xFF
 	}
-	d.wear[p]++
+	atomic.AddUint32(&d.wear[p], 1)
 	d.emit(OpEvent{
 		Kind: OpErase, Bank: b, Addr: p, Bytes: d.spec.PageSize,
 		Energy: d.spec.EraseEnergy, Busy: d.spec.EraseLatency,
@@ -542,15 +543,14 @@ func (d *Device) erasePageLocked(b, p int) error {
 	return nil
 }
 
-// Wear returns the erase count of page p.
+// Wear returns the erase count of page p. It takes no lock: the counter
+// is only ever incremented, atomically, so a wear-aware scan over every
+// page (KVS victim selection, FTL leveling) costs no bank round-trips.
 func (d *Device) Wear(p int) uint32 {
 	if p < 0 || p >= len(d.wear) {
 		return 0
 	}
-	bk := &d.banks[d.BankOf(p)]
-	bk.mu.Lock()
-	defer bk.mu.Unlock()
-	return d.wear[p]
+	return atomic.LoadUint32(&d.wear[p])
 }
 
 // MaxWear returns the highest erase count across all pages; flash lifetime
@@ -597,67 +597,92 @@ func (d *Device) AtRating(p int) bool {
 // page commits under one bank lock acquisition, so a concurrent operation
 // on the same bank never observes a half-programmed page.
 func (d *Device) ProgramPage(p int, buf []byte) error {
+	return d.ProgramPageSpan(p, buf, 0, len(buf))
+}
+
+// ProgramPageSpan is ProgramPage for a caller that knows its dirty span:
+// buf is still the whole page image, but only buf[lo:hi] is expected to
+// differ from the array. The bytes outside the span are compared against
+// the array under the bank lock rather than trusted — a read-disturb fault
+// can clear cells between the caller's read and this program — and any
+// mismatch widens the program to the whole page. Either way the array,
+// events, Stats and errors are exactly those of ProgramPage(p, buf); only
+// the host work shrinks to the span.
+func (d *Device) ProgramPageSpan(p int, buf []byte, lo, hi int) error {
 	if err := d.checkPage(p); err != nil {
 		return err
 	}
 	if len(buf) != d.spec.PageSize {
 		return fmt.Errorf("%w: got %d, page size %d", ErrPageSize, len(buf), d.spec.PageSize)
 	}
+	if lo < 0 || lo > hi || hi > len(buf) {
+		return fmt.Errorf("%w: span [%d, %d) of a %d-byte page", ErrBounds, lo, hi, len(buf))
+	}
 	b := d.BankOf(p)
 	bk := &d.banks[b]
 	bk.mu.Lock()
 	defer bk.mu.Unlock()
-	return d.programPageLocked(b, p, buf)
+	return d.programPageLocked(b, p, buf, lo, hi)
 }
 
-// programPageLocked is ProgramPage with bank b's lock held.
-func (d *Device) programPageLocked(b, p int, buf []byte) error {
+// programPageLocked is ProgramPageSpan with bank b's lock held.
+func (d *Device) programPageLocked(b, p int, buf []byte, lo, hi int) error {
 	if d.retired[p] {
 		return fmt.Errorf("page %d: %w", p, ErrPageRetired)
 	}
 	base := d.PageBase(p)
+	page := d.array[base : base+d.spec.PageSize]
+	// The span shortcut holds only while every byte outside it already
+	// stores its buffered value. programAll charges every byte and a drift
+	// mask is absorbed over the whole page, so both walk it all too.
+	if d.programAll || d.drift[p] != nil ||
+		!bytes.Equal(buf[:lo], page[:lo]) || !bytes.Equal(buf[hi:], page[hi:]) {
+		lo, hi = 0, len(buf)
+	}
 	// SLC reachability is a bitwise subset test, run eight bytes per step;
 	// the per-byte loop runs for MLC/TLC fields and, under SLC, only to
 	// name the first unreachable byte in the error.
-	if d.spec.Cell != SLC || !bits.SubsetBytes(buf, d.array[base:base+d.spec.PageSize]) {
-		for i, v := range buf {
-			if !d.spec.Cell.Reachable(d.array[base+i], v) {
+	if d.spec.Cell != SLC || !bits.SubsetBytes(buf[lo:hi], page[lo:hi]) {
+		for i := lo; i < hi; i++ {
+			if !d.spec.Cell.Reachable(page[i], buf[i]) {
 				return fmt.Errorf("%w: page %d byte %d stored %08b want %08b (%v)",
-					ErrNeedsErase, p, i, d.array[base+i], v, d.spec.Cell)
+					ErrNeedsErase, p, i, page[i], buf[i], d.spec.Cell)
 			}
 		}
 	}
 	// A live fault scope observes every charged pulse in address order,
 	// exactly as a byte-by-byte program would issue them: the bytes before
 	// the first one that trips a fault commit normally, the victim byte
-	// takes the fault, and the bytes after it are never reached.
+	// takes the fault, and the bytes after it are never reached. Bytes
+	// outside the span are unchanged, so they would draw no pulse.
 	end, f, fired := len(buf), Fault{}, false
 	if d.banks[b].faultsLive.Load() {
-		page := d.array[base : base+d.spec.PageSize]
-		for i, v := range buf {
-			if v == page[i] && !d.programAll {
+		for i := lo; i < hi; i++ {
+			if buf[i] == page[i] && !d.programAll {
 				continue // skipped bytes draw no pulse and advance no countdown
 			}
 			if f, fired = d.faultHit(b, OpProgram); fired {
-				end = i
+				hi, end = i, i
 				break
 			}
 		}
 	}
-	d.programSpanLocked(b, p, buf[:end])
+	d.programSpanLocked(b, p, buf, lo, hi, end)
 	if fired {
 		return d.faultProgramLocked(b, base+end, buf[end], f)
 	}
 	return nil
 }
 
-// programSpanLocked commits buf to the first len(buf) bytes of page p,
-// eight bytes per step with a byte loop for the tail, and emits at most one
-// batched OpProgram for the charged bytes (those whose value changes, or
-// all under programAll) and one OpProgramSkip for the rest. Counters and
-// busy time equal one ProgramByte per byte; energy is the same sum rounded
-// once. Called with bank b's lock held, after the reachability pre-pass.
-func (d *Device) programSpanLocked(b, p int, buf []byte) {
+// programSpanLocked commits buf[lo:hi] to page p, eight bytes per step with
+// a byte loop for the tail, and emits at most one batched OpProgram for the
+// charged bytes (those whose value changes, or all under programAll) and
+// one OpProgramSkip for the rest of the page's first end bytes, which the
+// caller has checked already hold their buffered value outside [lo, hi).
+// Counters and busy time equal one ProgramByte per byte of [0, end);
+// energy is the same sum rounded once. Called with bank b's lock held,
+// after the reachability pre-pass.
+func (d *Device) programSpanLocked(b, p int, buf []byte, lo, hi, end int) {
 	base := d.PageBase(p)
 	bk := &d.banks[b]
 	page := d.array[base : base+d.spec.PageSize]
@@ -673,8 +698,8 @@ func (d *Device) programSpanLocked(b, p int, buf []byte) {
 	m := d.drift[p]
 	rm := d.rise[p]
 	le := binary.LittleEndian
-	i := 0
-	for ; i+8 <= len(buf); i += 8 {
+	i := lo
+	for ; i+8 <= hi; i += 8 {
 		v := le.Uint64(buf[i:])
 		if x := le.Uint64(page[i:]) ^ v; x != 0 {
 			le.PutUint64(page[i:], v)
@@ -689,7 +714,7 @@ func (d *Device) programSpanLocked(b, p int, buf []byte) {
 			le.PutUint64(m[i:], le.Uint64(m[i:])&v)
 		}
 	}
-	for ; i < len(buf); i++ {
+	for ; i < hi; i++ {
 		v := buf[i]
 		if page[i] != v {
 			page[i] = v
@@ -703,9 +728,9 @@ func (d *Device) programSpanLocked(b, p int, buf []byte) {
 		}
 	}
 	if d.programAll {
-		programmed = len(buf)
+		programmed = end
 		if rm != nil {
-			clear(rm[:len(buf)])
+			clear(rm[:end])
 		}
 	}
 	if programmed > 0 {
@@ -716,7 +741,7 @@ func (d *Device) programSpanLocked(b, p int, buf []byte) {
 			Busy:   d.spec.ProgramLatency * time.Duration(programmed),
 		})
 	}
-	if skipped := len(buf) - programmed; skipped > 0 {
+	if skipped := end - programmed; skipped > 0 {
 		d.emit(OpEvent{Kind: OpProgramSkip, Bank: b, Addr: base, Bytes: skipped})
 	}
 }
@@ -752,7 +777,7 @@ func (d *Device) EraseProgramPage(p int, buf []byte) error {
 	if eraseErr != nil && !errors.Is(eraseErr, ErrWornOut) {
 		return eraseErr
 	}
-	if err := d.programPageLocked(b, p, buf); err != nil {
+	if err := d.programPageLocked(b, p, buf, 0, len(buf)); err != nil {
 		// Only possible on a worn-out page with stuck bits, or under
 		// a second injected power loss.
 		return errors.Join(eraseErr, err)

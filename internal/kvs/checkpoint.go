@@ -498,6 +498,7 @@ func (s *Store) readCkptSlot(slot int) (*ckptImage, error) {
 // ok=false means the image was rejected; the caller falls back to a scan.
 func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 	saved := s.stats
+	// A bulk load: OpenOn recounts the totals once the mount settles.
 	copy(s.pageSeq, img.pageSeq)
 	copy(s.pageUsed, img.pageUsed)
 	copy(s.pageLive, img.pageLive)
@@ -581,7 +582,7 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 		if err := s.b.Read(s.pageBase(pi.page), buf); err != nil {
 			return false, err
 		}
-		s.pageSeq[pi.page] = pi.seq
+		s.setPage(pi.page, pi.seq, s.pageUsed[pi.page], s.pageLive[pi.page], s.pageBad[pi.page])
 		s.replayPage(pi.page, pi.seq, buf)
 		if pi.seq >= s.nextSeq {
 			s.nextSeq = pi.seq + 1
@@ -613,20 +614,10 @@ func (s *Store) applyCheckpoint(img *ckptImage) (ok bool, err error) {
 }
 
 // markMountFree resets a page's accounting to free during checkpoint mount.
-func (s *Store) markMountFree(p int) {
-	s.pageSeq[p] = freeSeq
-	s.pageUsed[p] = 0
-	s.pageLive[p] = 0
-	s.pageBad[p] = false
-}
+func (s *Store) markMountFree(p int) { s.setPage(p, freeSeq, 0, 0, false) }
 
 // markMountBad quarantines a page during checkpoint mount.
-func (s *Store) markMountBad(p int) {
-	s.pageSeq[p] = freeSeq
-	s.pageUsed[p] = s.ps
-	s.pageLive[p] = 0
-	s.pageBad[p] = true
-}
+func (s *Store) markMountBad(p int) { s.setPage(p, freeSeq, s.ps, 0, true) }
 
 // dropPageEntries removes every index entry pointing at page p — the page
 // was erased, reused or quarantined after the checkpoint, and whatever was
@@ -637,7 +628,7 @@ func (s *Store) dropPageEntries(p int) {
 		delete(s.index, k)
 	}
 	s.pageKeys[p] = s.pageKeys[p][:0]
-	s.pageLive[p] = 0
+	s.setPage(p, s.pageSeq[p], s.pageUsed[p], 0, s.pageBad[p])
 }
 
 func leU16(b []byte) uint16 { return uint16(b[0]) | uint16(b[1])<<8 }

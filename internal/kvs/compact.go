@@ -96,25 +96,13 @@ func (s *Store) maybeCompact() error {
 }
 
 // compactionNeeded reports whether the free pool is short or the garbage
-// ratio has drifted past the configured ceiling.
+// ratio has drifted past the configured ceiling, from the running totals.
 func (s *Store) compactionNeeded() bool {
-	var free, used, live int
-	for p := 0; p < s.np; p++ {
-		if s.pageSeq[p] == freeSeq {
-			if !s.pageBad[p] {
-				free++
-			}
-			continue
-		}
-		if u := s.pageUsed[p] - pageHeaderSize; u > 0 {
-			used += u
-		}
-		live += s.pageLive[p]
-	}
-	if free < s.comp.TriggerFreePages {
+	t := s.totals
+	if t.free < s.comp.TriggerFreePages {
 		return true
 	}
-	return used > 0 && float64(used-live)/float64(used) > s.comp.MaxGarbageRatio
+	return t.used > 0 && float64(t.used-t.live)/float64(t.used) > s.comp.MaxGarbageRatio
 }
 
 // pickVictim scores every garbage-qualified page and returns the best

@@ -124,9 +124,11 @@ var fuzzPreds = []isc.Pred{
 
 var fuzzKeys = [8]string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 
-// fuzzWorkload drives n seeded operations against s. Capacity errors are
-// tolerated; anything the workload cannot cause is not.
-func fuzzWorkload(s *Store, rng *xrand.RNG, n int) {
+// fuzzWorkload drives n seeded operations against s, checking the page
+// totals after each. Capacity errors are tolerated; anything the workload
+// cannot cause is not.
+func fuzzWorkload(t testing.TB, s *Store, rng *xrand.RNG, n int) {
+	t.Helper()
 	for i := 0; i < n; i++ {
 		k := fuzzKeys[rng.Intn(len(fuzzKeys))]
 		switch r := rng.Intn(10); {
@@ -141,6 +143,7 @@ func fuzzWorkload(s *Store, rng *xrand.RNG, n int) {
 		default:
 			_, _ = s.Get(k)
 		}
+		checkTotals(t, s)
 	}
 }
 
@@ -149,7 +152,8 @@ func fuzzWorkload(s *Store, rng *xrand.RNG, n int) {
 // on a current checkpoint, a stale one, or neither.
 // An indexed image is also rebooted between the generations, so its slots
 // can hold kept, rebuilt and revoked slot tables.
-func buildFuzzImage(seed, o1, o2 byte) *memBackend {
+func buildFuzzImage(t testing.TB, seed, o1, o2 byte) *memBackend {
+	t.Helper()
 	m := newMemBackend(fuzzPS, fuzzNP)
 	open := func() *Store {
 		s, err := OpenOn(m, append(fuzzOptions(seed, CheckpointConfig{}), WithCompaction(CompactionConfig{}))...)
@@ -160,14 +164,14 @@ func buildFuzzImage(seed, o1, o2 byte) *memBackend {
 	}
 	s := open()
 	rng := xrand.New(uint64(seed)*2654435761 + 1)
-	fuzzWorkload(s, rng, int(o1)%120)
+	fuzzWorkload(t, s, rng, int(o1)%120)
 	_ = s.Checkpoint()
 	if fuzzIndexed(seed) {
 		s = open()
 	}
-	fuzzWorkload(s, rng, int(o2)%120)
+	fuzzWorkload(t, s, rng, int(o2)%120)
 	_ = s.Checkpoint()
-	fuzzWorkload(s, rng, int(o1+o2)%60)
+	fuzzWorkload(t, s, rng, int(o1+o2)%60)
 	return m
 }
 
@@ -248,9 +252,10 @@ func compareMountStates(t testing.TB, a, b *Store) {
 }
 
 // checkMountInvariants asserts the structural invariants any mount — over
-// any image, however damaged — must establish.
+// any image, however damaged — must establish, running page totals included.
 func checkMountInvariants(t testing.TB, s *Store) {
 	t.Helper()
+	checkTotals(t, s)
 	live := make([]int, s.np)
 	for k, loc := range s.index {
 		if loc.page < 0 || loc.page >= s.np {
@@ -311,7 +316,7 @@ func FuzzMountReplay(f *testing.F) {
 	f.Add(byte(12), byte(100), byte(70), []byte{})
 	f.Add(byte(13), byte(60), byte(110), []byte{0x40, 0x01, 0x00, 0x41, 0x01, 0x3C})
 	f.Fuzz(func(t *testing.T, seed, o1, o2 byte, damage []byte) {
-		base := buildFuzzImage(seed, o1, o2)
+		base := buildFuzzImage(t, seed, o1, o2)
 		dataEnd := (fuzzNP - 2*fuzzSlots) * fuzzPS
 		ckptLen := len(base.data) - dataEnd
 

@@ -161,11 +161,14 @@ type Store struct {
 	ps int // page size
 	np int // data page count (excludes the checkpoint region, when configured)
 
-	index    map[string]location
+	index map[string]location
+	// Page state. Written through setPage, which keeps totals in step, or
+	// bulk-loaded by a checkpoint mount and then recounted.
 	pageSeq  []uint32 // sequence per page (freeSeq = free)
 	pageUsed []int    // bytes consumed per page (including header)
 	pageLive []int    // live record bytes per page
 	pageBad  []bool   // quarantined: header unrepairable, erase before reuse
+	totals   pageTotals
 	// pageKeys lists, per page, every key whose index entry was set to a
 	// record on that page since the page was last erased or quarantined.
 	// It is a superset of the keys the index places there — superseded
@@ -182,17 +185,27 @@ type Store struct {
 	comp    *CompactionConfig
 	ckpt    *checkpointState
 	scanIdx *scanIndexState
-	// compactDue gates the O(np) proactive-compaction check: the free-page
-	// count and garbage ratio only move meaningfully when a page opens, so
-	// the check runs once per opened page, not once per append.
+	// compactDue gates the proactive-compaction check and its O(np) victim
+	// scan: the free-page count and garbage ratio only move meaningfully
+	// when a page opens, so the check runs once per opened page, not once
+	// per append.
 	compactDue bool
 	// replayed, while a checkpoint mount replays its tail with a live scan
 	// index, collects the last value replay saw per key (nil for a
 	// tombstone): the keys whose index bits the mount must re-add.
 	replayed map[string][]byte
-	// recBuf is readRecord's record buffer: the value is copied out of
+	// recBuf is readRecord's record buffer: Get copies the value out of
 	// it before anything else can read a record.
 	recBuf []byte
+	// encBuf holds the record append is writing, one buffer per nesting
+	// level: [0] for a top-level append, [1] for GC's copies, which run
+	// inside a top-level append that still needs its own record. Neither
+	// is recBuf, which a GC copy's value aliases.
+	encBuf [2][]byte
+	// zoneBuf is commit's landing-zone and read-back scratch.
+	zoneBuf []byte
+	// gcKeys is keysOnPage's result buffer.
+	gcKeys []string
 
 	stats Stats
 }
@@ -273,6 +286,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 			return nil, err
 		}
 		if ok {
+			s.recountTotals()
 			if seqFloor > s.nextSeq {
 				s.nextSeq = seqFloor
 			}
@@ -287,6 +301,7 @@ func OpenOn(b Backend, opts ...Option) (*Store, error) {
 	if err := s.scanMount(); err != nil {
 		return nil, err
 	}
+	s.recountTotals()
 	if seqFloor > s.nextSeq {
 		s.nextSeq = seqFloor
 	}
@@ -336,17 +351,16 @@ func (s *Store) scanMount() error {
 				}
 			}
 		}
-		s.pageSeq[p] = seq
 		switch state {
 		case pageFree:
+			s.setPage(p, freeSeq, 0, 0, false)
 			continue
 		case pageQuarantined:
-			s.pageBad[p] = true
-			s.pageSeq[p] = freeSeq // not addressable; reclaimed by erase
-			s.pageUsed[p] = s.ps
+			s.setPage(p, freeSeq, s.ps, 0, true) // not addressable; reclaimed by erase
 			s.stats.QuarantinedPages++
 			continue
 		}
+		s.setPage(p, seq, 0, 0, false)
 		used = append(used, pageInfo{p, seq})
 		if seq >= s.nextSeq {
 			s.nextSeq = seq + 1
@@ -375,10 +389,7 @@ func (s *Store) scanMount() error {
 func (s *Store) resetMountState() {
 	s.index = make(map[string]location)
 	for p := 0; p < s.np; p++ {
-		s.pageSeq[p] = 0
-		s.pageUsed[p] = 0
-		s.pageLive[p] = 0
-		s.pageBad[p] = false
+		s.setPage(p, 0, 0, 0, false)
 		s.pageKeys[p] = s.pageKeys[p][:0]
 	}
 	s.head = -1
@@ -418,6 +429,53 @@ func parsePageHeader(buf []byte, st *Stats) (uint32, int) {
 // pageBase returns the backend address of page p.
 func (s *Store) pageBase(p int) int { return p * s.ps }
 
+// pageTotals are the store-wide sums of page state that the compaction
+// trigger reads: usable free pages, record bytes consumed on in-use pages
+// (headers excluded) and live record bytes on them. Like the free/valid
+// page counts of a classic FTL, they are kept up to date on every write of
+// a page's state instead of recounted per decision.
+type pageTotals struct{ free, used, live int }
+
+// tally adds sign times page p's share to the totals.
+func (s *Store) tally(p, sign int) {
+	if s.pageSeq[p] == freeSeq {
+		if !s.pageBad[p] {
+			s.totals.free += sign
+		}
+		return
+	}
+	if u := s.pageUsed[p] - pageHeaderSize; u > 0 {
+		s.totals.used += sign * u
+	}
+	s.totals.live += sign * s.pageLive[p]
+}
+
+// setPage is the one writer of page p's state outside bulk mount loads.
+func (s *Store) setPage(p int, seq uint32, used, live int, bad bool) {
+	s.tally(p, -1)
+	s.pageSeq[p], s.pageUsed[p], s.pageLive[p], s.pageBad[p] = seq, used, live, bad
+	s.tally(p, +1)
+}
+
+// setUsed sets page p's consumed bytes through setPage.
+func (s *Store) setUsed(p, used int) {
+	s.setPage(p, s.pageSeq[p], used, s.pageLive[p], s.pageBad[p])
+}
+
+// addLive adjusts page p's live bytes by delta through setPage.
+func (s *Store) addLive(p, delta int) {
+	s.setPage(p, s.pageSeq[p], s.pageUsed[p], s.pageLive[p]+delta, s.pageBad[p])
+}
+
+// recountTotals rebuilds the totals from the page state, once at the end of
+// each mount path (a checkpoint mount bulk-loads the state).
+func (s *Store) recountTotals() {
+	s.totals = pageTotals{}
+	for p := range s.pageSeq {
+		s.tally(p, +1)
+	}
+}
+
 // replayPage parses the records of one page into the index.
 func (s *Store) replayPage(page int, seq uint32, buf []byte) {
 	s.replayPageFrom(page, seq, buf, pageHeaderSize)
@@ -456,7 +514,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		// at the next mount.
 		s.index[key] = loc
 		s.pageKeys[page] = append(s.pageKeys[page], key)
-		s.pageLive[page] += size
+		s.addLive(page, size)
 		if s.replayed != nil {
 			var val []byte
 			if !loc.dead {
@@ -466,7 +524,7 @@ func (s *Store) replayPageFrom(page int, seq uint32, buf []byte, start int) {
 		}
 		off += size
 	}
-	s.pageUsed[page] = off
+	s.setUsed(page, off)
 }
 
 // marginSense performs a slow margin-aware controller sense of one store
@@ -573,7 +631,7 @@ func (s *Store) repairRecord(buf []byte, off int) (int, bool) {
 // must-preserve accounting.
 func (s *Store) supersede(key string) {
 	if old, ok := s.index[key]; ok {
-		s.pageLive[old.page] -= old.size
+		s.addLive(old.page, -old.size)
 	}
 }
 
@@ -593,12 +651,31 @@ func (s *Store) Get(key string) ([]byte, error) {
 // readRecord is Get for a key whose live index entry the caller already
 // looked up.
 func (s *Store) readRecord(key string, loc location) ([]byte, error) {
+	v, repaired, err := s.recordValue(key, loc)
+	if err != nil {
+		return nil, err
+	}
+	val := make([]byte, len(v))
+	copy(val, v)
+	if repaired && !s.inGC {
+		// Read repair: the on-flash copy still carries the drifted cell,
+		// and a second drift in the same record would be beyond repair.
+		// Re-appending moves the data to a clean copy; best-effort.
+		_ = s.append(key, val, 0)
+	}
+	return val, nil
+}
+
+// recordValue reads and checks the record at loc and returns its value,
+// which aliases recBuf and is valid until the next record read, and whether
+// a single-bit repair was needed to make the CRC pass.
+func (s *Store) recordValue(key string, loc location) ([]byte, bool, error) {
 	if cap(s.recBuf) < loc.size {
 		s.recBuf = make([]byte, s.ps)
 	}
 	rec := s.recBuf[:loc.size]
 	if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	repaired := false
 	if !recordCRCValid(rec, 0, len(rec)) {
@@ -606,7 +683,7 @@ func (s *Store) readRecord(key string, loc location) ([]byte, error) {
 		for try := 0; try < senseRetries; try++ {
 			s.stats.SenseRetries++
 			if err := s.b.Read(s.pageBase(loc.page)+loc.off, rec); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if recordCRCValid(rec, 0, len(rec)) {
 				s.stats.SenseRecovered++
@@ -617,7 +694,7 @@ func (s *Store) readRecord(key string, loc location) ([]byte, error) {
 		if !sensed {
 			pg := make([]byte, s.ps)
 			if ok, err := s.marginSense(loc.page, pg); err != nil {
-				return nil, err
+				return nil, false, err
 			} else if ok {
 				copy(rec, pg[loc.off:loc.off+loc.size])
 				if recordCRCValid(rec, 0, len(rec)) {
@@ -631,24 +708,16 @@ func (s *Store) readRecord(key string, loc location) ([]byte, error) {
 				s.stats.CorrectedBits++
 				repaired = true
 			} else {
-				return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
+				return nil, false, fmt.Errorf("%w: %q", ErrCorrupt, key)
 			}
 		}
 	}
 	keyLen := int(rec[2])
 	valLen := int(rec[3]) | int(rec[4])<<8
 	if recHeaderSize+keyLen+valLen+crcSize != len(rec) {
-		return nil, fmt.Errorf("%w: %q", ErrCorrupt, key)
+		return nil, false, fmt.Errorf("%w: %q", ErrCorrupt, key)
 	}
-	val := make([]byte, valLen)
-	copy(val, rec[recHeaderSize+keyLen:recHeaderSize+keyLen+valLen])
-	if repaired && !s.inGC {
-		// Read repair: the on-flash copy still carries the drifted cell,
-		// and a second drift in the same record would be beyond repair.
-		// Re-appending moves the data to a clean copy; best-effort.
-		_ = s.append(key, val, 0)
-	}
-	return val, nil
+	return rec[recHeaderSize+keyLen : recHeaderSize+keyLen+valLen], repaired, nil
 }
 
 // Put stores key → val, appending a new record. The record's scan-index
@@ -746,7 +815,14 @@ func (s *Store) append(key string, val []byte, flags byte) error {
 	if err != nil {
 		return err
 	}
-	rec := make([]byte, size)
+	lvl := 0
+	if s.inGC {
+		lvl = 1
+	}
+	if cap(s.encBuf[lvl]) < size {
+		s.encBuf[lvl] = make([]byte, s.ps)
+	}
+	rec := s.encBuf[lvl][:size]
 	rec[0] = recMagic
 	rec[1] = flags
 	rec[2] = byte(len(key))
@@ -885,10 +961,7 @@ func (s *Store) reclaimQuarantined() {
 			s.stats.ReclaimRejected++
 			continue
 		}
-		s.pageBad[p] = false
-		s.pageSeq[p] = freeSeq
-		s.pageUsed[p] = 0
-		s.pageLive[p] = 0
+		s.setPage(p, freeSeq, 0, 0, false)
 		s.stats.QuarantinedPages--
 	}
 }
@@ -934,9 +1007,7 @@ func (s *Store) openPage(p int) error {
 				continue
 			}
 		}
-		s.pageSeq[cand] = s.nextSeq
-		s.pageUsed[cand] = pageHeaderSize
-		s.pageLive[cand] = 0
+		s.setPage(cand, s.nextSeq, pageHeaderSize, 0, false)
 		s.nextSeq++
 		s.head = cand
 		s.compactDue = true
@@ -958,7 +1029,10 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 	// fall back to a read-modify-write erase of the whole page, and a
 	// power loss during that erase destroys every committed record on it.
 	// The store never erases in place through the write path.
-	zone := make([]byte, len(rec))
+	if cap(s.zoneBuf) < len(rec) {
+		s.zoneBuf = make([]byte, s.ps)
+	}
+	zone := s.zoneBuf[:len(rec)]
 	if err := s.b.Read(base+off, zone); err != nil {
 		return err
 	}
@@ -979,7 +1053,7 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 		return err
 	}
 	if s.verify {
-		got := make([]byte, len(rec))
+		got := zone // the precheck is done with it
 		if err := s.b.Read(base+off, got); err != nil {
 			return err
 		}
@@ -991,14 +1065,14 @@ func (s *Store) commit(key string, page, off int, rec []byte, flags byte) error 
 			}
 		}
 	}
-	s.pageUsed[page] = off + len(rec)
+	s.setUsed(page, off+len(rec))
 	s.supersede(key)
 	s.index[key] = location{
 		seq: s.pageSeq[page], page: page, off: off, size: len(rec),
 		dead: flags&flagTombstone != 0,
 	}
 	s.pageKeys[page] = append(s.pageKeys[page], key)
-	s.pageLive[page] += len(rec)
+	s.addLive(page, len(rec))
 	return nil
 }
 
@@ -1016,8 +1090,7 @@ func degradedWriteErr(err error) bool {
 func (s *Store) quarantineFree(p int) {
 	s.stats.VerifyFailures++
 	s.stats.QuarantinedPages++
-	s.pageBad[p] = true
-	s.pageUsed[p] = s.ps
+	s.setPage(p, s.pageSeq[p], s.ps, s.pageLive[p], true)
 	s.nextSeq++
 }
 
@@ -1027,7 +1100,7 @@ func (s *Store) quarantineFree(p int) {
 // page's committed records stay valid and are recycled by GC later.
 func (s *Store) retireTail(page int) {
 	s.stats.RetiredPages++
-	s.pageUsed[page] = s.ps
+	s.setUsed(page, s.ps)
 	if s.head == page {
 		s.head = -1
 	}
@@ -1069,7 +1142,9 @@ func (s *Store) compactPage(victim int) error {
 			}
 			continue
 		}
-		val, err := s.Get(key)
+		// val aliases recBuf; the nested append copies it into its own
+		// record buffer before reading anything else.
+		val, _, err := s.recordValue(key, loc)
 		if err != nil {
 			return err
 		}
@@ -1084,10 +1159,7 @@ func (s *Store) compactPage(victim int) error {
 		// The victim cannot be erased (worn out, fenced): its live records
 		// are already copied forward, so quarantine it as lost capacity
 		// instead of failing the append that triggered this GC.
-		s.pageBad[victim] = true
-		s.pageSeq[victim] = freeSeq
-		s.pageUsed[victim] = s.ps
-		s.pageLive[victim] = 0
+		s.setPage(victim, freeSeq, s.ps, 0, true)
 		s.pageKeys[victim] = s.pageKeys[victim][:0]
 		s.stats.QuarantinedPages++
 		if s.head == victim {
@@ -1096,9 +1168,7 @@ func (s *Store) compactPage(victim int) error {
 		s.stats.Compactions++
 		return nil
 	}
-	s.pageSeq[victim] = freeSeq
-	s.pageUsed[victim] = 0
-	s.pageLive[victim] = 0
+	s.setPage(victim, freeSeq, 0, 0, s.pageBad[victim])
 	// Only now, with every record copied forward and the page erased, is
 	// its key list empty: a copy that fails mid-compaction (ErrFull)
 	// leaves the rest of the victim's keys indexed there, and the next
@@ -1113,15 +1183,17 @@ func (s *Store) compactPage(victim int) error {
 
 // keysOnPage returns the keys whose index entries point at page p, sorted
 // and without duplicates: the victim's records in the order GC copies them.
+// The result reuses gcKeys, so it is valid until the next call.
 func (s *Store) keysOnPage(p int) []string {
-	keys := make([]string, 0, len(s.pageKeys[p]))
+	keys := s.gcKeys[:0]
 	for _, k := range s.pageKeys[p] {
 		if loc, ok := s.index[k]; ok && loc.page == p {
 			keys = append(keys, k)
 		}
 	}
 	slices.Sort(keys)
-	return slices.Compact(keys)
+	s.gcKeys = slices.Compact(keys)
+	return s.gcKeys
 }
 
 // correctSingleBit brute-forces a single-bit repair of a CRC-protected

@@ -37,7 +37,7 @@ func (c *benchChurn) pick() int {
 	return hot + c.rng.Intn(benchKeys-hot)
 }
 
-func newBenchChurn(b *testing.B) *benchChurn {
+func newBenchChurn(b testing.TB) *benchChurn {
 	b.Helper()
 	const ps = 4096
 	recSize := recHeaderSize + 7 + benchValLen + crcSize

@@ -34,6 +34,7 @@ func TestModelBasedOperations(t *testing.T) {
 	}
 
 	for step := 0; step < 1500; step++ {
+		checkTotals(t, store) // after the previous step, whichever way it ended
 		k := keys[rng.Intn(len(keys))]
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // Put
@@ -84,6 +85,7 @@ func TestModelBasedOperations(t *testing.T) {
 				step, store.Len(), len(model), store.Keys(), model)
 		}
 	}
+	checkTotals(t, store)
 	t.Logf("final: %d keys, %d compactions, %d erases",
 		store.Len(), store.Compactions(), dev.Flash().Stats().Erases)
 }
@@ -122,6 +124,7 @@ func TestModelCompactionCheckpoint(t *testing.T) {
 	}
 	remounts := 0
 	for step := 0; step < 3000; step++ {
+		checkTotals(t, store) // after the previous step, whichever way it ended
 		k := keys[rng.Intn(len(keys))]
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // Put
@@ -201,6 +204,7 @@ func TestModelCompactionCheckpoint(t *testing.T) {
 			t.Fatalf("step %d: Len %d != model %d", step, store.Len(), len(model))
 		}
 	}
+	checkTotals(t, store)
 	fold(store.Stats())
 	if compactions == 0 {
 		t.Error("workload never triggered compaction")
